@@ -1,12 +1,12 @@
 // ext_serve — serving-layer throughput and determinism gate.
 //
 // Drives a seeded stream of plan requests (the spb_plan --replay template
-// pool, in wire form) through an in-process serve::Server at several
-// worker counts, with blocking admission so nothing is load-shed.  Checks:
+// pool, in wire form) through an in-process serve::Server at 1, 2, 4 and 8
+// workers, with blocking admission so nothing is load-shed.  Checks:
 //
 //   1. the response stream is byte-identical at every worker count
-//      (responses are pure functions of requests; the reorder buffer
-//      restores submission order),
+//      (responses are pure functions of requests; the server's output
+//      ring restores submission order),
 //   2. no request is answered with an error or "overloaded",
 //   3. the aggregate cache statistics reconcile: misses == distinct
 //      signatures (coalescing: the planner ran once per signature),
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> lines = request_lines(mc, count, seed);
 
-  const std::vector<int> worker_counts = {1, 2, 8};
+  const std::vector<int> worker_counts = {1, 2, 4, 8};
   std::vector<SessionResult> sessions;
   sessions.reserve(worker_counts.size());
   for (const int w : worker_counts)

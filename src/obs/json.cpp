@@ -1,11 +1,66 @@
 #include "obs/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <limits>
 
 #include "common/check.h"
 
 namespace spb::obs {
+
+namespace {
+
+constexpr int kMaxDecimals = 17;
+
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+}  // namespace
+
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t i = 0;
+  while (i < s.size()) {
+    std::size_t plain = i;
+    while (plain < s.size() && !needs_escape(s[plain])) ++plain;
+    out.append(s, i, plain - i);
+    if (plain == s.size()) break;
+    const char c = s[plain];
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const auto u = static_cast<unsigned char>(c);
+        out += "\\u00";
+        out += kHex[u >> 4];
+        out += kHex[u & 0xF];
+      }
+    }
+    i = plain + 1;
+  }
+  out += '"';
+}
+
+void append_fixed(std::string& out, double v, int decimals) {
+  SPB_CHECK_MSG(decimals >= 0 && decimals <= kMaxDecimals,
+                "append_fixed: decimals must be in [0, 17]");
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  // Sign, the integer digits of the largest finite double, point, decimals.
+  char buf[1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 +
+           kMaxDecimals];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                       std::chars_format::fixed, decimals);
+  SPB_CHECK(ec == std::errc{});
+  out.append(buf, end);
+}
 
 void JsonWriter::prepare_value() {
   if (pending_key_) {
@@ -66,26 +121,9 @@ void JsonWriter::key(std::string_view k) {
 }
 
 void JsonWriter::write_string(std::string_view s) {
-  os_ << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os_ << "\\\""; break;
-      case '\\': os_ << "\\\\"; break;
-      case '\n': os_ << "\\n"; break;
-      case '\r': os_ << "\\r"; break;
-      case '\t': os_ << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os_ << buf;
-        } else {
-          os_ << c;
-        }
-    }
-  }
-  os_ << '"';
+  buf_.clear();
+  append_json_string(buf_, s);
+  os_ << buf_;
 }
 
 void JsonWriter::value(std::string_view s) {
@@ -110,13 +148,9 @@ void JsonWriter::value(std::uint64_t v) {
 
 void JsonWriter::value(double v, int decimals) {
   prepare_value();
-  if (!std::isfinite(v)) {
-    os_ << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  os_ << buf;
+  buf_.clear();
+  append_fixed(buf_, v, decimals);
+  os_ << buf_;
 }
 
 }  // namespace spb::obs

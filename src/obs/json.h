@@ -17,10 +17,23 @@
 
 #include <cstdint>
 #include <ostream>
+#include <string>
 #include <string_view>
 #include <vector>
 
 namespace spb::obs {
+
+/// The escaping and number routines behind JsonWriter, for writers that
+/// build a line in a string (the serve response writers).
+///
+/// Appends `s` as a JSON string literal: quote and backslash escaped,
+/// \n \r \t by name, other control characters as \u00xx, UTF-8 passed
+/// through.
+void append_json_string(std::string& out, std::string_view s);
+
+/// Appends `v` in fixed point with `decimals` digits (0 to 17), never in
+/// scientific notation; non-finite values append null.
+void append_fixed(std::string& out, double v, int decimals);
 
 class JsonWriter {
  public:
@@ -67,6 +80,7 @@ class JsonWriter {
   void write_string(std::string_view s);
 
   std::ostream& os_;
+  std::string buf_;  // write_string / value(double) scratch
   std::vector<Scope> stack_;
   std::vector<bool> first_;   // parallel to stack_: no comma needed yet
   bool pending_key_ = false;  // a key was written, a value must follow

@@ -1,159 +1,199 @@
 #include "serve/protocol.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 
+#include "obs/json.h"
 #include "serve/json_value.h"
 
 namespace spb::serve {
 
 namespace {
 
-/// True when the number is a non-negative integer that fits `max`.
-bool as_u64(const JsonValue& v, std::uint64_t max, std::uint64_t& out) {
-  if (!v.is_number()) return false;
-  const double d = v.number_value;
-  if (d < 0 || std::floor(d) != d ||
-      d > static_cast<double>(max))
+/// A number token as a non-negative integer no larger than `max`.  Plain
+/// digit strings convert exactly; the other integral forms (1e3, 2.0) go
+/// through a double.
+bool to_u64(std::string_view token, std::uint64_t max, std::uint64_t& out) {
+  const char* const last = token.data() + token.size();
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(token.data(), last, v);
+  if (end != last) {
+    const double d = std::strtod(std::string(token).c_str(), nullptr);
+    // 2^64 is the first double past every uint64_t.
+    if (!(d >= 0) || std::floor(d) != d || d >= 18446744073709551616.0)
+      return false;
+    v = static_cast<std::uint64_t>(d);
+  } else if (ec != std::errc{}) {
     return false;
-  out = static_cast<std::uint64_t>(d);
+  }
+  if (v > max) return false;
+  out = v;
   return true;
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out.append(buf, static_cast<std::size_t>(n));
-}
+/// Reads a request object's members into a Request in one pass.  A member
+/// of the wrong type or range is consumed like any other value and its
+/// complaint kept (the first one only), so the members after it — "id" in
+/// particular — are still read.
+struct RequestFields {
+  /// How reading one member went: a syntax error ends the document, a bad
+  /// value only the request.
+  enum class Read { kOk, kBad, kSyntax };
 
-/// Fixed-point with 3 decimals, matching obs::JsonWriter::value(double, 3).
-void append_us(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
+  RequestFields(JsonReader& r, Request& o) : reader(r), out(o) {}
+
+  JsonReader& reader;
+  Request& out;
+  std::string error;  // the first bad member
+  bool saw_op = false;
+
+  void bad(std::string message) {
+    if (error.empty()) error = std::move(message);
   }
-  char buf[40];
-  const int n = std::snprintf(buf, sizeof(buf), "%.3f", v);
-  out.append(buf, static_cast<std::size_t>(n));
-}
 
-/// JSON string literal with obs::JsonWriter's escaping (quote, backslash,
-/// control characters; UTF-8 passes through).
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+  /// Keeps `message` for a bad value; false on a syntax error.
+  bool checked(Read r, const char* message) {
+    if (r == Read::kBad) bad(message);
+    return r != Read::kSyntax;
+  }
+
+  /// Consumes a value of the wrong type.
+  Read skip() { return reader.value(nullptr) ? Read::kBad : Read::kSyntax; }
+
+  Read text(std::string& s) {
+    if (reader.peek() != '"') return skip();
+    s.clear();
+    return reader.string(s) ? Read::kOk : Read::kSyntax;
+  }
+
+  Read flag(bool& b) {
+    if (reader.peek() != 't' && reader.peek() != 'f') return skip();
+    return reader.boolean(b) ? Read::kOk : Read::kSyntax;
+  }
+
+  /// An integer in [min, max].
+  Read integer(std::uint64_t min, std::uint64_t max, std::uint64_t& v) {
+    // What JsonReader::value() would not read as a number ('\0': the end).
+    const char c = reader.peek();
+    if (c == '{' || c == '[' || c == '"' || c == 't' || c == 'f' ||
+        c == 'n' || c == '\0')
+      return skip();
+    std::string_view token;
+    if (!reader.number(token)) return Read::kSyntax;
+    std::uint64_t n = 0;
+    if (!to_u64(token, max, n) || n < min) return Read::kBad;
+    v = n;
+    return Read::kOk;
+  }
+
+  bool member(std::string_view key) {
+    if (key == "op") {
+      std::string op;
+      const Read r = text(op);
+      if (r == Read::kOk) {
+        if (op == "plan")
+          out.op = Op::kPlan;
+        else if (op == "execute")
+          out.op = Op::kExecute;
+        else if (op == "stats")
+          out.op = Op::kStats;
+        else
+          bad("unknown op \"" + op + "\" (expected plan, execute or stats)");
+        saw_op = true;
+      }
+      return checked(r, "\"op\" must be a string");
     }
+    if (key == "id") {
+      const Read r = integer(0, UINT64_MAX, out.id);
+      out.has_id |= r == Read::kOk;
+      return checked(r, "\"id\" must be a non-negative integer");
+    }
+    if (key == "machine")
+      return checked(text(out.machine), "\"machine\" must be a string");
+    if (key == "dist")
+      return checked(text(out.dist), "\"dist\" must be a string");
+    if (key == "sources") {
+      std::uint64_t n = 0;
+      const Read r = integer(0, 1u << 20, n);
+      if (r == Read::kOk) out.sources = static_cast<int>(n);
+      return checked(r, "\"sources\" must be a non-negative integer");
+    }
+    if (key == "len")
+      return checked(integer(1, 1ull << 40, out.len),
+                     "\"len\" must be a positive integer");
+    if (key == "seed")
+      return checked(integer(0, UINT64_MAX, out.seed),
+                     "\"seed\" must be a non-negative integer");
+    if (key == "faults")
+      return checked(text(out.faults), "\"faults\" must be a string");
+    if (key == "ranked")
+      return checked(flag(out.ranked), "\"ranked\" must be a boolean");
+    if (key == "deterministic")
+      return checked(flag(out.deterministic),
+                     "\"deterministic\" must be a boolean");
+    bad("unknown field \"" + std::string(key) + "\"");
+    return skip() != Read::kSyntax;
   }
-  out += '"';
+};
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, end);
+}
+
+void append_hex16(std::string& out, std::uint64_t v) {
+  constexpr char kHex[] = "0123456789abcdef";
+  char buf[16];
+  for (int i = 15; i >= 0; --i, v >>= 4) buf[i] = kHex[v & 0xF];
+  out.append(buf, sizeof(buf));
 }
 
 }  // namespace
 
 std::string parse_request(std::string_view line, Request& out) {
   out = Request{};
-  JsonValue doc;
-  const JsonParseResult parsed = parse_json(line, doc);
-  if (!parsed.ok)
-    return "malformed JSON at byte " + std::to_string(parsed.error_pos) +
-           ": " + parsed.error;
-  if (!doc.is_object()) return "request must be a JSON object";
-
-  bool saw_op = false;
-  for (const auto& [key, value] : doc.members) {
-    if (key == "op") {
-      if (!value.is_string()) return "\"op\" must be a string";
-      if (value.string_value == "plan")
-        out.op = Op::kPlan;
-      else if (value.string_value == "execute")
-        out.op = Op::kExecute;
-      else if (value.string_value == "stats")
-        out.op = Op::kStats;
-      else
-        return "unknown op \"" + value.string_value +
-               "\" (expected plan, execute or stats)";
-      saw_op = true;
-    } else if (key == "id") {
-      if (!as_u64(value, UINT64_MAX, out.id))
-        return "\"id\" must be a non-negative integer";
-      out.has_id = true;
-    } else if (key == "machine") {
-      if (!value.is_string()) return "\"machine\" must be a string";
-      out.machine = value.string_value;
-    } else if (key == "dist") {
-      if (!value.is_string()) return "\"dist\" must be a string";
-      out.dist = value.string_value;
-    } else if (key == "sources") {
-      std::uint64_t n = 0;
-      if (!as_u64(value, 1u << 20, n))
-        return "\"sources\" must be a non-negative integer";
-      out.sources = static_cast<int>(n);
-    } else if (key == "len") {
-      std::uint64_t n = 0;
-      if (!as_u64(value, 1ull << 40, n) || n == 0)
-        return "\"len\" must be a positive integer";
-      out.len = static_cast<Bytes>(n);
-    } else if (key == "seed") {
-      if (!as_u64(value, UINT64_MAX, out.seed))
-        return "\"seed\" must be a non-negative integer";
-    } else if (key == "faults") {
-      if (!value.is_string()) return "\"faults\" must be a string";
-      out.faults = value.string_value;
-    } else if (key == "ranked") {
-      if (!value.is_bool()) return "\"ranked\" must be a boolean";
-      out.ranked = value.bool_value;
-    } else if (key == "deterministic") {
-      if (!value.is_bool()) return "\"deterministic\" must be a boolean";
-      out.deterministic = value.bool_value;
-    } else {
-      return "unknown field \"" + key + "\"";
-    }
+  JsonReader reader(line);
+  RequestFields fields(reader, out);
+  reader.skip_ws();
+  const bool is_object = reader.peek() == '{';
+  const bool parsed =
+      (is_object ? reader.object([&fields](std::string_view key) {
+         return fields.member(key);
+       })
+                 : reader.value(nullptr)) &&
+      reader.end();
+  if (!parsed) {
+    out = Request{};
+    const JsonParseResult r = reader.result();
+    return "malformed JSON at byte " + std::to_string(r.error_pos) + ": " +
+           r.error;
   }
-  if (!saw_op) return "missing required field \"op\"";
+  if (!is_object) return "request must be a JSON object";
+  if (!fields.error.empty()) return std::move(fields.error);
+  if (!fields.saw_op) return "missing required field \"op\"";
   return "";
 }
 
 std::string signature_hex(const plan::Signature& sig) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, sig.key());
-  return buf;
+  std::string hex;
+  append_hex16(hex, sig.key());
+  return hex;
 }
 
 void write_plan_response(std::string& out, std::uint64_t id,
                          const Request& req, const plan::Plan& plan) {
+  out.reserve(out.size() + 160 + plan.best().size() +
+              (req.ranked ? 64 * plan.ranked.size() : 0));
   out += "{\"id\":";
   append_u64(out, id);
   out += ",\"ok\":true,\"op\":\"plan\",\"signature\":\"";
-  out += signature_hex(plan.signature);
+  append_hex16(out, plan.signature.key());
   out += "\",\"best\":";
-  append_json_string(out, plan.best());
+  obs::append_json_string(out, plan.best());
   out += ",\"predicted_us\":";
-  append_us(out, plan.ranked.front().predicted_us);
+  obs::append_fixed(out, plan.ranked.front().predicted_us, 3);
   out += ",\"planned_bytes\":";
   append_u64(out, static_cast<std::uint64_t>(plan.planned_bytes));
   if (req.ranked) {
@@ -163,9 +203,9 @@ void write_plan_response(std::string& out, std::uint64_t id,
       if (!first) out += ',';
       first = false;
       out += "{\"algorithm\":";
-      append_json_string(out, e.algorithm);
+      obs::append_json_string(out, e.algorithm);
       out += ",\"predicted_us\":";
-      append_us(out, e.predicted_us);
+      obs::append_fixed(out, e.predicted_us, 3);
       out += '}';
     }
     out += ']';
@@ -176,14 +216,15 @@ void write_plan_response(std::string& out, std::uint64_t id,
 void write_execute_response(std::string& out, std::uint64_t id,
                             const Request& req, const std::string& algorithm,
                             const stop::RunResult& result) {
+  out.reserve(out.size() + 192 + algorithm.size() + req.dist.size());
   out += "{\"id\":";
   append_u64(out, id);
   out += ",\"ok\":true,\"op\":\"execute\",\"algorithm\":";
-  append_json_string(out, algorithm);
+  obs::append_json_string(out, algorithm);
   out += ",\"dist\":";
-  append_json_string(out, req.dist);
+  obs::append_json_string(out, req.dist);
   out += ",\"time_us\":";
-  append_us(out, result.time_us);
+  obs::append_fixed(out, result.time_us, 3);
   out += ",\"total_sends\":";
   append_u64(out, result.outcome.metrics.total_sends);
   out += ",\"total_bytes_sent\":";
@@ -194,10 +235,11 @@ void write_execute_response(std::string& out, std::uint64_t id,
 
 void write_error_response(std::string& out, std::uint64_t id,
                           std::string_view error) {
+  out.reserve(out.size() + 64 + error.size());
   out += "{\"id\":";
   append_u64(out, id);
   out += ",\"ok\":false,\"error\":";
-  append_json_string(out, error);
+  obs::append_json_string(out, error);
   out += "}\n";
 }
 

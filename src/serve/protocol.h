@@ -52,18 +52,21 @@ struct Request {
   bool deterministic = false; // stats: omit timing-dependent sections
 };
 
-/// Parses one request line.  Returns "" and fills `out` on success, or a
-/// one-line error message (unknown op, wrong field type, unknown field,
-/// malformed JSON with its byte offset).
+/// Parses one request line in one pass.  Returns "" and fills `out` on
+/// success, or a one-line error message: malformed JSON with its byte
+/// offset first, else the first bad member (unknown op, wrong field type
+/// or range, unknown field), else a missing op.  After a bad member the
+/// other members are still read, so `out.id` is the request's own id
+/// whenever the JSON itself is well-formed.
 std::string parse_request(std::string_view line, Request& out);
 
 /// Canonical "%016x" rendering of a plan signature key.
 std::string signature_hex(const plan::Signature& sig);
 
 // Response writers append one newline-terminated JSON line to `out`.
-// They build the line with direct formatting (no ostream) because the
-// serve hot path emits one per request; the JSON they produce matches
-// obs::JsonWriter's conventions (fixed-point doubles, full escaping).
+// They build the line in place with std::to_chars and obs::JsonWriter's
+// own escaping and fixed-point routines (no ostream) because the serve
+// hot path emits one per request.
 void write_plan_response(std::string& out, std::uint64_t id,
                          const Request& req, const plan::Plan& plan);
 void write_execute_response(std::string& out, std::uint64_t id,

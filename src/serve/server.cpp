@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -79,70 +80,90 @@ void Server::submit_internal(std::string_view line, bool block) {
     return;
   }
 
+  bool shed = false;
+  bool wake = false;
   {
     std::unique_lock<std::mutex> lock(queue_mu_);
-    if (queue_.size() >= options_.max_queue) {
-      if (!block) {
-        // Load-shed: answer now, explicitly — never a silent drop.
-        std::string text;
-        write_overloaded_response(text, rid);
-        emit(seq, std::move(text), Outcome::kShed);
-        return;
-      }
+    if (queue_.size() >= options_.max_queue && !block) {
+      shed = true;
+    } else {
       space_cv_.wait(
           lock, [this] { return queue_.size() < options_.max_queue; });
+      // A job landing in an empty queue wakes a worker; the ones behind it
+      // are passed on by the worker that takes it (worker_loop).
+      wake = queue_.empty();
+      queue_.push_back(Job{.seq = seq,
+                           .req = std::move(req),
+                           .t0 = std::chrono::steady_clock::now(),
+                           .claimed = false});
+      if (queue_.size() > queue_max_depth_) queue_max_depth_ = queue_.size();
     }
-    queue_.push_back(Job{.seq = seq,
-                         .req = std::move(req),
-                         .t0 = std::chrono::steady_clock::now(),
-                         .claimed = false});
-    if (queue_.size() > queue_max_depth_) queue_max_depth_ = queue_.size();
   }
-  queue_cv_.notify_one();
+  if (shed) {
+    // Load-shed: answer now, explicitly — never a silent drop.
+    std::string text;
+    write_overloaded_response(text, rid);
+    emit(seq, std::move(text), Outcome::kShed);
+  } else if (wake) {
+    queue_cv_.notify_one();
+  }
 }
 
 bool Server::can_take_front() const {
-  if (queue_.empty()) return false;
-  const Job& front = queue_.front();
-  if (front.claimed) return false;  // a stats fence is in progress
-  if (front.req.op == Op::kStats)
-    // Fence: only runnable once every earlier response has been flushed.
-    return next_out_.load(std::memory_order_acquire) == front.seq;
-  return true;
+  // A claimed front is a stats fence in progress.
+  return !queue_.empty() && !queue_.front().claimed;
 }
 
 void Server::worker_loop() {
+  // Jobs taken per queue_mu_ acquisition: up to 8, and few enough while
+  // the queue is shallow that every worker gets some of it.
+  constexpr std::size_t kMaxBatch = 8;
+  const std::size_t spread = 2 * static_cast<std::size_t>(options_.workers);
+  std::vector<Job> batch;
+  batch.reserve(kMaxBatch);
   for (;;) {
-    Job job;
     bool fence = false;
+    bool more = false;  // jobs left for another worker
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [this] { return stopping_ || can_take_front(); });
       if (!can_take_front()) {
         if (stopping_ && queue_.empty()) return;
-        continue;  // fence pending or spurious wake; re-evaluate
+        continue;  // fence in progress or spurious wake; re-evaluate
       }
-      fence = queue_.front().req.op == Op::kStats;
-      if (fence) {
+      if (queue_.front().req.op == Op::kStats) {
         // Leave the fence at the front (claimed) so no later job starts
         // while the stats snapshot is taken.
+        fence = true;
         queue_.front().claimed = true;
-        job = queue_.front();
+        batch.push_back(queue_.front());
       } else {
-        job = std::move(queue_.front());
-        queue_.pop_front();
+        const std::size_t n =
+            std::min(kMaxBatch, 1 + queue_.size() / spread);
+        // Never past a fence: it must wait for the jobs before it.
+        while (batch.size() < n && !queue_.empty() &&
+               queue_.front().req.op != Op::kStats) {
+          batch.push_back(std::move(queue_.front()));
+          queue_.pop_front();
+        }
+        more = can_take_front();
       }
     }
-    if (!fence) space_cv_.notify_one();
-    process(job);
+    if (more) queue_cv_.notify_one();
     if (fence) {
+      await_output(batch.front().seq);
+      process(batch.front());
       {
         std::lock_guard<std::mutex> lock(queue_mu_);
         queue_.pop_front();
       }
       queue_cv_.notify_all();
-      space_cv_.notify_one();
+      space_cv_.notify_all();
+    } else {
+      space_cv_.notify_all();
+      for (const Job& job : batch) process(job);
     }
+    batch.clear();
   }
 }
 
@@ -235,7 +256,7 @@ std::string Server::handle_execute(const Job& job, std::uint64_t rid) {
 }
 
 std::string Server::handle_stats(const Job& job, std::uint64_t rid) {
-  // The fence in worker_loop() guarantees requests [0, seq) are flushed
+  // The fence in worker_loop() guarantees requests [0, seq) are written
   // and no later job is running: every snapshot below covers exactly the
   // requests submitted before this one.
   const bool det = job.req.deterministic;
@@ -324,48 +345,64 @@ const plan::Planner& Server::planner_for(const std::string& machine_name) {
 }
 
 void Server::emit(std::uint64_t seq, std::string text, Outcome outcome) {
-  bool advanced = false;
-  {
-    std::lock_guard<std::mutex> lock(out_mu_);
-    reorder_.emplace(seq, std::make_pair(std::move(text), outcome));
-    for (auto it = reorder_.find(next_out_.load(std::memory_order_relaxed));
-         it != reorder_.end();
-         it = reorder_.find(next_out_.load(std::memory_order_relaxed))) {
-      out_ << it->second.first;
-      switch (it->second.second) {
-        case Outcome::kPlan:
-          ++counters_.plan;
-          break;
-        case Outcome::kExecute:
-          ++counters_.execute;
-          break;
-        case Outcome::kStats:
-          ++counters_.stats;
-          break;
-        case Outcome::kError:
-          ++counters_.errors;
-          break;
-        case Outcome::kShed:
-          ++counters_.shed;
-          break;
-      }
-      reorder_.erase(it);
-      next_out_.fetch_add(1, std::memory_order_release);
-      advanced = true;
+  std::unique_lock<std::mutex> lock(out_mu_);
+  const std::size_t at = seq - ring_base_;
+  if (at >= ring_.size()) ring_.resize(at + 1);
+  ring_[at] = Slot{.text = std::move(text), .outcome = outcome, .ready = true};
+  if (writing_ || !ring_.front().ready) return;
+  // This thread completed the next response in order: it becomes the
+  // writer until no ready run is left.  Other threads only fill slots.
+  writing_ = true;
+  do {
+    // Counters move as the run is taken: a stats fence runs only once
+    // next_out_ reaches it, and by then every earlier response is counted.
+    while (!ring_.empty() && ring_.front().ready) {
+      count(ring_.front().outcome);
+      run_.push_back(std::move(ring_.front().text));
+      ring_.pop_front();
+      ++ring_base_;
     }
-    if (advanced) out_.flush();
+    lock.unlock();
+    for (const std::string& line : run_) out_ << line;
+    out_.flush();
+    run_.clear();
+    lock.lock();
+    next_out_ = ring_base_;
+  } while (!ring_.empty() && ring_.front().ready);
+  writing_ = false;
+  lock.unlock();
+  out_cv_.notify_all();  // drain() and stats fences watch next_out_
+}
+
+void Server::count(Outcome outcome) {
+  switch (outcome) {
+    case Outcome::kPlan:
+      ++counters_.plan;
+      break;
+    case Outcome::kExecute:
+      ++counters_.execute;
+      break;
+    case Outcome::kStats:
+      ++counters_.stats;
+      break;
+    case Outcome::kError:
+      ++counters_.errors;
+      break;
+    case Outcome::kShed:
+      ++counters_.shed;
+      break;
   }
-  if (advanced) {
-    out_cv_.notify_all();    // drain() and stats fences watch next_out_
-    queue_cv_.notify_all();  // a stats fence may be runnable now
-  }
+}
+
+void Server::await_output(std::uint64_t seq) {
+  std::unique_lock<std::mutex> lock(out_mu_);
+  out_cv_.wait(lock, [this, seq] { return next_out_ == seq; });
 }
 
 void Server::drain() {
   std::unique_lock<std::mutex> lock(out_mu_);
   out_cv_.wait(lock, [this] {
-    return next_out_.load(std::memory_order_relaxed) ==
-           submitted_.load(std::memory_order_relaxed);
+    return next_out_ == submitted_.load(std::memory_order_relaxed);
   });
 }
 

@@ -4,22 +4,26 @@
 // ShardedPlanCache (misses coalesce: concurrent identical signatures plan
 // once), a per-machine planner memo, and a latency histogram.  Lines go in
 // through submit_line(); JSONL responses come out on the ostream, always
-// in submission order — an internal reorder buffer holds responses that
-// finish early, so output is byte-identical no matter how many workers
-// served the session (the ext_serve gate pins this for plan traffic).
+// in submission order — responses that finish early wait in a ring of
+// slots indexed by sequence number, so output is byte-identical no matter
+// how many workers served the session (the ext_serve gate pins this for
+// plan traffic).  Whichever thread completes the next response in order
+// becomes the one writer: it takes the ready run out of the ring and
+// writes it outside the ring's lock, with one flush per run.
 //
 // Admission control is explicit: when the queue is at max_queue, the line
 // is answered immediately with {"ok":false,"error":"overloaded"} — the
 // protocol never drops a request silently.  Malformed lines are answered
 // in place with a structured error and the session continues.
 //
-// A stats request is a *fence*: workers leave it at the front of the queue
-// until every earlier request has been answered and flushed, and no later
-// request starts before it completes.  Its snapshot therefore covers
-// exactly the requests submitted before it, which — together with
-// coalesced misses counting once — makes "deterministic":true stats
-// responses a pure function of the request trace (timing-dependent
-// sections: latency, queue depth, coalesced counts, are omitted there).
+// A stats request is a *fence*: the worker that takes it leaves it claimed
+// at the front of the queue and waits until every earlier request has been
+// answered and written, and no later request starts before it completes.
+// Its snapshot therefore covers exactly the requests submitted before it,
+// which — together with coalesced misses counting once — makes
+// "deterministic":true stats responses a pure function of the request
+// trace (timing-dependent sections: latency, queue depth, coalesced
+// counts, are omitted there).
 #pragma once
 
 #include <atomic>
@@ -127,6 +131,12 @@ class Server {
     bool claimed = false;
   };
   enum class Outcome { kPlan, kExecute, kStats, kError, kShed };
+  /// One response waiting for its turn to be written.
+  struct Slot {
+    std::string text;
+    Outcome outcome = Outcome::kError;
+    bool ready = false;
+  };
 
   void submit_internal(std::string_view line, bool block);
   void worker_loop();
@@ -137,6 +147,8 @@ class Server {
   std::string handle_stats(const Job& job, std::uint64_t rid);
   const plan::Planner& planner_for(const std::string& machine_name);
   void emit(std::uint64_t seq, std::string text, Outcome outcome);
+  void count(Outcome outcome);  // out_mu_ held
+  void await_output(std::uint64_t seq);
 
   ServerOptions options_;
   std::ostream& out_;
@@ -149,17 +161,20 @@ class Server {
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::condition_variable space_cv_;  // signaled when a job is popped
+  std::condition_variable space_cv_;  // signaled when jobs are popped
   std::deque<Job> queue_;
   std::uint64_t queue_max_depth_ = 0;
   bool stopping_ = false;
 
   mutable std::mutex out_mu_;
-  std::condition_variable out_cv_;
-  std::map<std::uint64_t, std::pair<std::string, Outcome>> reorder_;
-  std::atomic<std::uint64_t> next_out_{0};  // first seq not yet flushed
+  std::condition_variable out_cv_;  // next_out_ advanced
+  std::deque<Slot> ring_;           // ring_[i] holds seq ring_base_ + i
+  std::uint64_t ring_base_ = 0;     // first seq not yet taken by a writer
+  std::uint64_t next_out_ = 0;      // first seq not yet written
+  bool writing_ = false;            // a thread is writing a run
+  std::vector<std::string> run_;    // the writer's run, written unlocked
+  RequestCounters counters_;        // bumped as a run is taken
   std::atomic<std::uint64_t> submitted_{0};
-  RequestCounters counters_;  // bumped at flush, under out_mu_
 
   std::vector<std::thread> workers_;
 };

@@ -122,7 +122,7 @@ void ShardedEngine::note_stage(SimTime initiate) {
   // executed this window is <= initiate and stays sound.
   s.limit = std::min(s.limit, initiate + window_);
   s.staged.push_back(initiate);
-  ++stats_.staged_xfers;
+  ++s.staged_xfers;
 }
 
 void ShardedEngine::at(SimTime t, int shard, EventFn fn) {
@@ -358,7 +358,6 @@ std::size_t ShardedEngine::peak_queue_depth() const {
 EngineStats ShardedEngine::stats() const {
   EngineStats out;
   out.windows = stats_.windows;
-  out.staged_xfers = stats_.staged_xfers;
   out.held_xfers = stats_.held_xfers;
   std::uint64_t busy = 0;
   std::uint64_t idle = 0;
@@ -368,6 +367,7 @@ EngineStats ShardedEngine::stats() const {
                                     s.busy_windows, s.idle_windows});
     busy += s.busy_windows;
     idle += s.idle_windows;
+    out.staged_xfers += s.staged_xfers;
   }
   // Idle slots are counted directly per shard (never derived by
   // subtraction, which would wrap if a count were ever lost); the

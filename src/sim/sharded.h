@@ -193,6 +193,8 @@ class ShardedEngine {
     std::uint64_t executed = 0;
     std::uint64_t busy_windows = 0;
     std::uint64_t idle_windows = 0;
+    /// note_stage calls; per shard because drainers run concurrently.
+    std::uint64_t staged_xfers = 0;
     std::exception_ptr error;
     /// Initiation times of staged transfers not yet consumed by a barrier
     /// (nondecreasing; the front is this shard's held floor).  Only the

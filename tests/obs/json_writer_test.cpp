@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -61,6 +62,22 @@ TEST(JsonWriter, NumberFormattingIsFixedPoint) {
   w.end_array();
   EXPECT_EQ(os.str(), "[1234567.250,0.5,-3,null,null]");
   EXPECT_TRUE(parses(os.str()));
+}
+
+TEST(JsonWriter, HugeValuesKeepEveryDigit) {
+  // Fixed point never switches to an exponent, so a huge value prints all
+  // of its integer digits (309 for the largest double), as printf's %f.
+  for (const double v : {1e36, -1e59, 1e60, std::numeric_limits<double>::max(),
+                         -std::numeric_limits<double>::max()}) {
+    for (const int decimals : {0, 3, 17}) {
+      char want[400];
+      std::snprintf(want, sizeof(want), "%.*f", decimals, v);
+      std::ostringstream os;
+      JsonWriter w(os);
+      w.value(v, decimals);
+      EXPECT_EQ(os.str(), want);
+    }
+  }
 }
 
 TEST(JsonWriter, ValueInsideObjectWithoutKeyTrips) {

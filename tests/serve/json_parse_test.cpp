@@ -1,7 +1,11 @@
-// serve::parse_json (the dependency-free protocol reader) and
-// serve::parse_request (field validation on top of it).
+// serve::parse_json (the dependency-free protocol reader),
+// serve::parse_request (field validation on top of it), and the response
+// writers' number formatting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 
 #include "serve/json_value.h"
@@ -135,6 +139,124 @@ TEST(ParseRequest, RejectsBadRequests) {
   EXPECT_NE(parse_request(R"({"op":"plan","bogus":1})", req), "");
   const std::string err = parse_request("{\"op\":\"plan\",}", req);
   EXPECT_NE(err.find("malformed JSON"), std::string::npos) << err;
+}
+
+TEST(ParseRequest, ErrorsKeepTheirTextAndPrecedence) {
+  Request req;
+  // The exact wire messages.
+  EXPECT_EQ(parse_request(R"({"op":"warp"})", req),
+            "unknown op \"warp\" (expected plan, execute or stats)");
+  EXPECT_EQ(parse_request(R"({"op":1})", req), "\"op\" must be a string");
+  EXPECT_EQ(parse_request(R"({"op":"plan","bogus":[1,{"a":2}]})", req),
+            "unknown field \"bogus\"");
+  EXPECT_EQ(parse_request(R"({"op":"plan","dist":7})", req),
+            "\"dist\" must be a string");
+  EXPECT_EQ(parse_request(R"({"op":"plan","ranked":null})", req),
+            "\"ranked\" must be a boolean");
+  EXPECT_EQ(parse_request(R"({"op":"plan","sources":"4"})", req),
+            "\"sources\" must be a non-negative integer");
+  EXPECT_EQ(parse_request("[1,2,3]", req), "request must be a JSON object");
+  EXPECT_EQ(parse_request("{}", req), "missing required field \"op\"");
+  EXPECT_EQ(parse_request(R"({"op":"plan",})", req),
+            "malformed JSON at byte 13: expected a string");
+  EXPECT_EQ(parse_request(R"({"op":"plan","id":)", req),
+            "malformed JSON at byte 18: unexpected end of input");
+  EXPECT_EQ(parse_request("", req),
+            "malformed JSON at byte 0: unexpected end of input");
+  // A syntax error anywhere beats a bad member before it...
+  EXPECT_EQ(parse_request(R"({"op":"warp","len":0,"x":tru})", req),
+            "malformed JSON at byte 28: bad literal");
+  // ...the first bad member beats later ones...
+  EXPECT_EQ(parse_request(R"({"len":0,"op":"warp","bogus":1})", req),
+            "\"len\" must be a positive integer");
+  // ...and any bad member beats a missing op.
+  EXPECT_EQ(parse_request(R"({"bogus":1})", req), "unknown field \"bogus\"");
+}
+
+TEST(ParseRequest, IdIsReadPastAnEarlierBadMember) {
+  Request req;
+  EXPECT_NE(parse_request(R"({"op":"warp","id":12})", req), "");
+  EXPECT_TRUE(req.has_id);
+  EXPECT_EQ(req.id, 12u);
+  EXPECT_NE(parse_request(R"({"len":0,"bogus":true,"id":7})", req), "");
+  EXPECT_TRUE(req.has_id);
+  EXPECT_EQ(req.id, 7u);
+  // A bad id is not an id.
+  EXPECT_NE(parse_request(R"({"op":"warp","id":-3})", req), "");
+  EXPECT_FALSE(req.has_id);
+  // Malformed JSON carries no id, wherever the id sits.
+  EXPECT_NE(parse_request(R"({"id":5,"op":"plan",)", req), "");
+  EXPECT_FALSE(req.has_id);
+}
+
+TEST(ParseRequest, IntegersAreExact) {
+  Request req;
+  // 2^53 + 1 is not a double.
+  ASSERT_EQ(parse_request(
+                R"({"op":"plan","id":9007199254740993,"seed":9007199254740993})",
+                req),
+            "");
+  EXPECT_EQ(req.id, 9007199254740993u);
+  EXPECT_EQ(req.seed, 9007199254740993u);
+  // 2^64 - 1 is the largest id and seed.
+  ASSERT_EQ(parse_request(R"({"op":"plan","id":18446744073709551615,)"
+                          R"("seed":18446744073709551615})",
+                          req),
+            "");
+  EXPECT_EQ(req.id, UINT64_MAX);
+  EXPECT_EQ(req.seed, UINT64_MAX);
+  // 2^64, in every spelling, is too large.
+  EXPECT_EQ(parse_request(R"({"op":"plan","id":18446744073709551616})", req),
+            "\"id\" must be a non-negative integer");
+  EXPECT_FALSE(req.has_id);
+  EXPECT_EQ(parse_request(R"({"op":"plan","id":1.8446744073709552e19})", req),
+            "\"id\" must be a non-negative integer");
+  EXPECT_EQ(parse_request(R"({"op":"plan","seed":18446744073709551616})", req),
+            "\"seed\" must be a non-negative integer");
+  EXPECT_EQ(parse_request(R"({"op":"plan","seed":1e20})", req),
+            "\"seed\" must be a non-negative integer");
+  // Each field keeps its own bound.
+  EXPECT_EQ(parse_request(R"({"op":"plan","sources":1048576})", req), "");
+  EXPECT_EQ(req.sources, 1048576);
+  EXPECT_EQ(parse_request(R"({"op":"plan","sources":1048577})", req),
+            "\"sources\" must be a non-negative integer");
+  EXPECT_EQ(parse_request(R"({"op":"plan","len":1099511627776})", req), "");
+  EXPECT_EQ(req.len, 1099511627776u);
+  EXPECT_EQ(parse_request(R"({"op":"plan","len":1099511627777})", req),
+            "\"len\" must be a positive integer");
+  // The other integral spellings still work.
+  ASSERT_EQ(parse_request(R"({"op":"plan","id":1e3,"len":2.0,"seed":-0})", req),
+            "");
+  EXPECT_EQ(req.id, 1000u);
+  EXPECT_EQ(req.len, 2u);
+  EXPECT_EQ(req.seed, 0u);
+  EXPECT_NE(parse_request(R"({"op":"plan","id":2.5})", req), "");
+  EXPECT_NE(parse_request(R"({"op":"plan","seed":-1})", req), "");
+}
+
+TEST(ResponseWriters, HugeTimesKeepEveryDigit) {
+  plan::Plan plan;
+  plan.planned_bytes = 1024;
+  plan.ranked = {{.algorithm = "Br_Lin", .predicted_us = 1e300},
+                 {.algorithm = "2-Step",
+                  .predicted_us = std::numeric_limits<double>::max()}};
+  Request req;
+  req.ranked = true;
+  std::string line;
+  write_plan_response(line, 7, req, plan);
+  char huge[400];
+  std::snprintf(huge, sizeof(huge), "%.3f", 1e300);
+  char max[400];
+  std::snprintf(max, sizeof(max), "%.3f", std::numeric_limits<double>::max());
+  EXPECT_NE(line.find(std::string("\"best\":\"Br_Lin\",\"predicted_us\":") +
+                      huge + ","),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find(std::string("\"predicted_us\":") + max + "}]}"),
+            std::string::npos)
+      << line;
+  JsonValue doc;
+  EXPECT_TRUE(parse_json(line, doc).ok) << line;
 }
 
 }  // namespace

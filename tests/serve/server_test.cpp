@@ -1,14 +1,20 @@
 // serve::Server behavior: coalescing under simultaneous identical
 // requests (exactly one planner invocation), bounded-queue load shedding
 // with well-formed responses, in-order output, byte-identity across
-// worker counts, the stats fence, and error recovery.
+// worker counts, the stats fence, error recovery, and the output path
+// under many threads taking turns as the writer.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -331,6 +337,116 @@ TEST(Server, ReportSectionReconcilesWithAccessors) {
   EXPECT_EQ(hits, server.cache_stats().hits);
   EXPECT_EQ(misses, server.cache_stats().misses);
   EXPECT_EQ(section.latency_count, server.latency().total);
+}
+
+/// The "requests" section and the leading "cache" fields that a
+/// deterministic stats response must carry when it fences exactly the
+/// responses in `before`.
+std::string fence_snapshot(const std::vector<std::string>& before) {
+  std::uint64_t plan = 0;
+  std::uint64_t stats = 0;
+  std::uint64_t errors = 0;
+  std::uint64_t shed = 0;
+  std::set<std::string> signatures;
+  for (const std::string& line : before) {
+    if (line.find("\"op\":\"stats\"") != std::string::npos) {
+      ++stats;
+    } else if (line.find("\"error\":\"overloaded\"") != std::string::npos) {
+      ++shed;
+    } else if (line.find("\"ok\":false") != std::string::npos) {
+      ++errors;
+    } else {
+      ++plan;
+      signatures.insert(line.substr(line.find("\"signature\":"), 30));
+    }
+  }
+  const std::uint64_t misses = signatures.size();
+  std::ostringstream os;
+  os << "\"requests\":{\"plan\":" << plan << ",\"execute\":0,\"stats\":"
+     << stats << ",\"errors\":" << errors << ",\"shed\":" << shed
+     << "},\"cache\":{\"shards\":8,\"capacity\":4096,\"size\":" << misses
+     << ",\"hits\":" << plan - misses << ",\"misses\":" << misses
+     << ",\"evictions\":0,";
+  return os.str();
+}
+
+TEST(Server, ConcurrentWritersKeepOrderAndExactFences) {
+  // Four workers finish plan requests out of order while the submitting
+  // thread answers malformed and shed lines itself, so workers and the
+  // submitter all take turns as the one writer.  Stats fences sit between
+  // the bursts.  Sessions alternate a 2-job queue (the shedding path
+  // sheds) and a 64-job one (workers take runs of jobs up to a fence).
+  // Every session must finish within a minute and come out in submission
+  // order, and each fence must count exactly the responses before it.
+  constexpr int kSessions = 200;
+  constexpr int kBlocks = 3;
+  constexpr int kBurst = 16;
+  std::uint64_t shed = 0;
+  for (int session = 0; session < kSessions; ++session) {
+    ServerOptions options;
+    options.machine = "paragon4x4";
+    options.workers = 4;
+    options.max_queue = session % 2 == 0 ? 2 : 64;
+
+    std::ostringstream out;
+    std::vector<std::uint64_t> fences;
+    std::uint64_t submitted = 0;
+    const auto run = [&] {
+      Server server(options, out);
+      for (int block = 0; block < kBlocks; ++block) {
+        for (int i = 0; i < kBurst; ++i) {
+          // Every request's id is its sequence number.
+          const std::string id = std::to_string(submitted++);
+          const std::string plan =
+              R"({"op":"plan","id":)" + id + R"(,"dist":")" +
+              (i % 8 < 4 ? "R" : "B") + R"(","sources":4,"len":)" +
+              std::to_string(1024 << (i % 3)) + "}";
+          switch (i % 4) {
+            case 0:
+            case 1:
+              server.submit_line(plan);  // may be shed
+              break;
+            case 2:
+              server.submit_line(i % 8 == 2 ? std::string("not json")
+                                            : R"({"op":"warp","id":)" + id +
+                                                  "}");
+              break;
+            default:
+              server.submit_line_wait(plan);
+          }
+        }
+        fences.push_back(submitted);
+        server.submit_line_wait(R"({"op":"stats","id":)" +
+                                std::to_string(submitted++) +
+                                R"(,"deterministic":true})");
+      }
+      server.drain();
+      return server.counters().shed;
+    };
+    std::future<std::uint64_t> done = std::async(std::launch::async, run);
+    if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+      std::fprintf(stderr, "session %d did not finish\n", session);
+      std::abort();  // the hung server would hang this binary too
+    }
+    shed += done.get();
+
+    const std::vector<std::string> lines = lines_of(out.str());
+    ASSERT_EQ(lines.size(), submitted) << "session " << session;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const std::string want = "{\"id\":" + std::to_string(i) + ",";
+      ASSERT_EQ(lines[i].substr(0, want.size()), want)
+          << "session " << session << ": response " << i << " out of order";
+    }
+    for (const std::uint64_t at : fences) {
+      const std::string want = fence_snapshot(
+          {lines.begin(), lines.begin() + static_cast<std::ptrdiff_t>(at)});
+      ASSERT_NE(lines[at].find(want), std::string::npos)
+          << "session " << session << ": fence " << at << " is\n"
+          << lines[at] << "\nwant\n" << want;
+    }
+  }
+  // The shedding path did shed, so the submitter wrote shed responses.
+  EXPECT_GT(shed, 0u);
 }
 
 }  // namespace
