@@ -7,11 +7,11 @@
 
 #include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "coll/halving.h"
 #include "dist/ideal.h"
 #include "mp/payload.h"
-#include "net/route_cache.h"
 #include "net/topology.h"
 #include "sim/event_queue.h"
 #include "stop/algorithm.h"
@@ -71,19 +71,20 @@ void BM_TorusRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_TorusRoute);
 
-void BM_TorusRouteCached(benchmark::State& state) {
-  // Warm route-cache hits — what NetworkModel::reserve pays per message
-  // after the first send between a pair.
+void BM_TorusRouteInto(benchmark::State& state) {
+  // A walk into one warm buffer — what NetworkModel::reserve pays per
+  // message.
   const net::Torus3D torus(8, 8, 8);
-  net::RouteCache cache(torus);
+  std::vector<LinkId> path;
   int a = 0;
   for (auto _ : state) {
     const int b = (a * 31 + 17) % torus.node_count();
-    benchmark::DoNotOptimize(cache.path(a, b).size());
+    torus.route_into(a, b, path);
+    benchmark::DoNotOptimize(path.data());
     a = (a + 1) % torus.node_count();
   }
 }
-BENCHMARK(BM_TorusRouteCached);
+BENCHMARK(BM_TorusRouteInto);
 
 void BM_PayloadMerge(benchmark::State& state) {
   const int chunks = static_cast<int>(state.range(0));

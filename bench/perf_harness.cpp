@@ -1,7 +1,7 @@
 // perf_harness — dependency-free perf-regression harness.
 //
 // Times the simulator's hot paths (event queue, payload merge, route
-// cache, one end-to-end run, and the analyzer sweep serial vs parallel)
+// walks, one end-to-end run, and the analyzer sweep serial vs parallel)
 // with plain steady_clock loops and emits the numbers as JSON.
 // tools/bench_compare.py diffs the output against bench/BENCH_baseline.json
 // with per-metric tolerances; CI runs the quick tier on every push.
@@ -20,7 +20,6 @@
 #include "dist/distribution.h"
 #include "machine/config.h"
 #include "mp/payload.h"
-#include "net/route_cache.h"
 #include "net/topology.h"
 #include "options.h"
 #include "sim/event_queue.h"
@@ -137,17 +136,20 @@ void bench_routes(Metrics& m, double min_ms) {
     if (hops == 0) std::fprintf(stderr, "route_fresh: empty routes?\n");
   }
   {
-    net::RouteCache cache(torus);
+    // What NetworkModel::reserve pays per message: a walk into one warm
+    // buffer.
+    std::vector<LinkId> path;
     int a = 0;
     std::size_t hops = 0;
-    m.add("route_cached_ns", time_ns_per_op(min_ms, ops, [&] {
+    m.add("route_into_ns", time_ns_per_op(min_ms, ops, [&] {
             for (int i = 0; i < ops; ++i) {
               const int b = (a * 31 + 17) % torus.node_count();
-              hops += cache.path(a, b).size();
+              torus.route_into(a, b, path);
+              hops += path.size();
               a = (a + 1) % torus.node_count();
             }
           }));
-    if (hops == 0) std::fprintf(stderr, "route_cached: empty routes?\n");
+    if (hops == 0) std::fprintf(stderr, "route_into: empty routes?\n");
   }
 }
 

@@ -97,4 +97,13 @@ std::uint64_t parse_u64_or_throw(const std::string& what,
   return v;
 }
 
+int parse_int_or_throw(const std::string& what, const std::string& text,
+                       int max) {
+  int v = 0;
+  std::string error;
+  SPB_REQUIRE(try_parse_int(text, v, error, max),
+              what << " '" << text << "': " << error);
+  return v;
+}
+
 }  // namespace spb

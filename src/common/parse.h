@@ -36,5 +36,7 @@ double parse_double_or_throw(const std::string& what,
                              const std::string& text);
 std::uint64_t parse_u64_or_throw(const std::string& what,
                                  const std::string& text);
+int parse_int_or_throw(const std::string& what, const std::string& text,
+                       int max = 1'000'000'000);
 
 }  // namespace spb

@@ -1,6 +1,7 @@
 #include "machine/config.h"
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/check.h"
 #include "common/math.h"
@@ -28,6 +29,11 @@ void balanced_factors(int p, int& rows, int& cols) {
 
 MachineConfig paragon(int rows, int cols) {
   SPB_REQUIRE(rows >= 1 && cols >= 1, "paragon needs positive dimensions");
+  const std::int64_t nodes = std::int64_t{rows} * cols;
+  SPB_REQUIRE(nodes <= net::Topology::kMaxNodes,
+              "machine 'paragon" << rows << "x" << cols << "' is too large: "
+                                 << nodes << " nodes (at most "
+                                 << net::Topology::kMaxNodes << ")");
   MachineConfig m;
   m.name = "paragon " + std::to_string(rows) + "x" + std::to_string(cols);
   m.topology = std::make_shared<net::Mesh2D>(rows, cols);

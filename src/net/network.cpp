@@ -8,21 +8,10 @@
 
 namespace spb::net {
 
-namespace {
-
-const Topology& require_topology(
-    const std::shared_ptr<const Topology>& topo) {
-  SPB_REQUIRE(topo != nullptr, "NetworkModel needs a topology");
-  return *topo;
-}
-
-}  // namespace
-
 NetworkModel::NetworkModel(std::shared_ptr<const Topology> topo,
                            NetParams params)
-    : topo_(std::move(topo)),
-      params_(params),
-      routes_(require_topology(topo_)) {
+    : topo_(std::move(topo)), params_(params) {
+  SPB_REQUIRE(topo_ != nullptr, "NetworkModel needs a topology");
   SPB_REQUIRE(params_.bytes_per_us > 0, "bandwidth must be positive");
   SPB_REQUIRE(params_.alpha_us >= 0 && params_.per_hop_us >= 0,
               "latencies must be non-negative");
@@ -97,7 +86,6 @@ void NetworkModel::set_fault_plan(fault::FaultPlanPtr plan) {
                       << " outside this topology's link space");
   }
   plan_ = std::move(plan);
-  routes_.invalidate();
   alt_memo_.clear();
   last_window_ = 0;
 }
@@ -117,7 +105,6 @@ void NetworkModel::roll_window(SimTime ready) {
   const std::uint64_t w = plan_->window_index(ready);
   if (w == last_window_) return;
   last_window_ = w;
-  routes_.invalidate();
   alt_memo_.clear();
   ++stats_.route_invalidations;
 }
@@ -172,11 +159,12 @@ Transfer NetworkModel::reserve(NodeId src, NodeId dst, Bytes bytes,
   SPB_REQUIRE(src >= 0 && src < topo_->node_count(), "src out of range");
   SPB_REQUIRE(dst >= 0 && dst < topo_->node_count(), "dst out of range");
 
-  // Degradation windows flush cached routes, so roll before taking a span.
+  // Degradation windows flush the detour memo, so roll before taking a span.
   const bool faulted = plan_ != nullptr && plan_->degrades_links();
   if (faulted) roll_window(ready);
 
-  std::span<const LinkId> path = routes_.path(src, dst);
+  topo_->route_into(src, dst, path_);
+  std::span<const LinkId> path{path_.data(), path_.size()};
   const bool degrade_now = faulted && plan_->window_active(ready);
   if (degrade_now) path = faulted_path(src, dst, path);
 

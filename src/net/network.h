@@ -26,7 +26,6 @@
 
 #include "common/types.h"
 #include "fault/fault.h"
-#include "net/route_cache.h"
 #include "net/topology.h"
 
 namespace spb::net {
@@ -72,7 +71,7 @@ struct NetworkStats {
   // Fault-plan effects (all zero when no plan is installed).
   std::uint64_t degraded_transfers = 0;  // transfers that crossed a bad link
   std::uint64_t detours = 0;             // transfers re-routed around one
-  std::uint64_t route_invalidations = 0;  // degradation-window cache flushes
+  std::uint64_t route_invalidations = 0;  // degradation-window memo flushes
   double degraded_link_us = 0;  // extra serialization paid to degraded links
 };
 
@@ -108,8 +107,8 @@ class NetworkModel {
   Transfer reserve(NodeId src, NodeId dst, Bytes bytes, SimTime ready);
 
   /// Installs (or clears, with nullptr) the fault plan whose degraded links
-  /// slow transfers down.  Flushes the route cache and the detour memo; the
-  /// plan must have been built for this topology's link space.
+  /// slow transfers down.  Flushes the detour memo; the plan must have been
+  /// built for this topology's link space.
   void set_fault_plan(fault::FaultPlanPtr plan);
   const fault::FaultPlanPtr& fault_plan() const { return plan_; }
 
@@ -123,9 +122,6 @@ class NetworkModel {
   const Topology& topology() const { return *topo_; }
   const NetParams& params() const { return params_; }
   const NetworkStats& stats() const { return stats_; }
-
-  /// The per-model route cache (diagnostics/tests; reserve() feeds it).
-  const RouteCache& routes() const { return routes_; }
 
   /// Pure timing of an uncontended transfer (used in tests as the lower
   /// bound of reserve()).
@@ -146,8 +142,8 @@ class NetworkModel {
   int pick_inject(NodeId n) const;
   int pick_eject(NodeId n) const;
 
-  /// Flushes the route cache + detour memo when `ready` crosses into a new
-  /// degradation window (windowed plans only).
+  /// Flushes the detour memo when `ready` crosses into a new degradation
+  /// window (windowed plans only).
   void roll_window(SimTime ready);
   /// The path a faulted transfer takes: the primary route, or the
   /// alternate-dimension-order route when that avoids more degradation.
@@ -159,7 +155,9 @@ class NetworkModel {
 
   std::shared_ptr<const Topology> topo_;
   NetParams params_;
-  RouteCache routes_;
+  // The route of the transfer being reserved: re-walked per reserve into
+  // this one buffer, whose capacity is reused (Topology::route_into).
+  std::vector<LinkId> path_;
   // Per-link bandwidth scale from Topology::link_bandwidth_scale, sampled
   // once at construction; uniform_scale_ short-circuits the per-path min
   // for the (common) topologies where every link runs at the full rate.

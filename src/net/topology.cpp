@@ -9,6 +9,32 @@
 
 namespace spb::net {
 
+namespace {
+
+/// Dimension-ordered walk from node `from` to node `to` of a row-major mesh
+/// `cols` wide, calling emit(node, dir) for each hop with dir 0/1 = +x/-x
+/// and 2/3 = +y/-y.  An x hop moves the id by one, a y hop by a row.
+template <typename Emit>
+void walk_mesh(int from, int to, int cols, bool y_first, Emit emit) {
+  int at = from;
+  const auto leg = [&](int delta, int stride, int dir) {
+    const int step = delta > 0 ? stride : -stride;
+    for (int i = std::abs(delta); i > 0; --i, at += step)
+      emit(at, delta > 0 ? dir : dir + 1);
+  };
+  const int dx = to % cols - from % cols;
+  const int dy = to / cols - from / cols;
+  if (y_first) {
+    leg(dy, cols, 2);
+    leg(dx, 1, 0);
+  } else {
+    leg(dx, 1, 0);
+    leg(dy, cols, 2);
+  }
+}
+
+}  // namespace
+
 std::string Topology::describe_link(LinkId id) const {
   SPB_REQUIRE(id >= 0 && id < link_space(), "link id " << id
                                                        << " out of range");
@@ -35,13 +61,13 @@ LinearArray::LinearArray(int n) : n_(n) {
   SPB_REQUIRE(n >= 1, "LinearArray needs at least one node");
 }
 
-std::vector<LinkId> LinearArray::route(NodeId a, NodeId b) const {
+void LinearArray::walk(NodeId a, NodeId b, bool /*alt*/,
+                       std::vector<LinkId>& out) const {
   SPB_REQUIRE(a >= 0 && a < n_ && b >= 0 && b < n_, "node out of range");
-  std::vector<LinkId> path;
+  out.clear();
   const int step = a < b ? 1 : -1;
   const int dir = a < b ? 0 : 1;  // slot 0 = +x, slot 1 = -x
-  for (NodeId at = a; at != b; at += step) path.push_back(at * 2 + dir);
-  return path;
+  for (NodeId at = a; at != b; at += step) out.push_back(at * 2 + dir);
 }
 
 int LinearArray::hops(NodeId a, NodeId b) const {
@@ -58,6 +84,8 @@ std::string LinearArray::name() const {
 Mesh2D::Mesh2D(int rows, int cols, bool y_first)
     : rows_(rows), cols_(cols), y_first_(y_first) {
   SPB_REQUIRE(rows >= 1 && cols >= 1, "Mesh2D needs positive dimensions");
+  SPB_REQUIRE(std::int64_t{rows} * cols <= kMaxNodes,
+              "mesh too large (" << std::int64_t{rows} * cols << " nodes)");
 }
 
 Coord Mesh2D::coord(NodeId n) const {
@@ -71,47 +99,13 @@ NodeId Mesh2D::node_at(const Coord& c) const {
   return c.y() * cols_ + c.x();
 }
 
-std::vector<LinkId> Mesh2D::route_impl(NodeId a, NodeId b,
-                                       bool y_first) const {
-  const Coord ca = coord(a);
-  const Coord cb = coord(b);
-  std::vector<LinkId> path;
-  // Walk the X dimension at row `row`, appending to path.
-  const auto walk_x = [&](int row) {
-    int x = ca.x();
-    const int xdir = cb.x() > ca.x() ? 0 : 1;  // slot 0 = +x, 1 = -x
-    const int xstep = cb.x() > ca.x() ? 1 : -1;
-    while (x != cb.x()) {
-      path.push_back(node_at({x, row, 0}) * 4 + xdir);
-      x += xstep;
-    }
-  };
-  // Walk the Y dimension at column `col`.
-  const auto walk_y = [&](int col) {
-    int y = ca.y();
-    const int ydir = cb.y() > ca.y() ? 2 : 3;  // slot 2 = +y, 3 = -y
-    const int ystep = cb.y() > ca.y() ? 1 : -1;
-    while (y != cb.y()) {
-      path.push_back(node_at({col, y, 0}) * 4 + ydir);
-      y += ystep;
-    }
-  };
-  if (y_first) {
-    walk_y(ca.x());
-    walk_x(cb.y());
-  } else {
-    walk_x(ca.y());
-    walk_y(cb.x());
-  }
-  return path;
-}
-
-std::vector<LinkId> Mesh2D::route(NodeId a, NodeId b) const {
-  return route_impl(a, b, y_first_);
-}
-
-std::vector<LinkId> Mesh2D::alt_route(NodeId a, NodeId b) const {
-  return route_impl(a, b, !y_first_);
+void Mesh2D::walk(NodeId a, NodeId b, bool alt,
+                  std::vector<LinkId>& out) const {
+  SPB_REQUIRE(a >= 0 && a < node_count() && b >= 0 && b < node_count(),
+              "node out of range");
+  out.clear();
+  walk_mesh(a, b, cols_, y_first_ != alt,
+            [&](NodeId n, int dir) { out.push_back(n * 4 + dir); });
 }
 
 int Mesh2D::hops(NodeId a, NodeId b) const {
@@ -141,21 +135,21 @@ NodeId Hypercube::node_at(const Coord& c) const {
   return c.x();
 }
 
-std::vector<LinkId> Hypercube::route(NodeId a, NodeId b) const {
+void Hypercube::walk(NodeId a, NodeId b, bool /*alt*/,
+                     std::vector<LinkId>& out) const {
   SPB_REQUIRE(a >= 0 && a < node_count() && b >= 0 && b < node_count(),
               "node out of range");
   // E-cube: fix differing bits from dimension 0 upward; link slot d of a
   // node is its dimension-d channel.
-  std::vector<LinkId> path;
+  out.clear();
   NodeId at = a;
   for (int d = 0; d < dims_; ++d) {
     const NodeId bit = NodeId{1} << d;
     if ((at & bit) == (b & bit)) continue;
-    path.push_back(at * dims_ + d);
+    out.push_back(at * dims_ + d);
     at ^= bit;
   }
   SPB_CHECK(at == b);
-  return path;
 }
 
 int Hypercube::hops(NodeId a, NodeId b) const {
@@ -177,9 +171,9 @@ TorusND::TorusND(std::vector<int> dims) : dims_(std::move(dims)) {
   std::int64_t nodes = 1;
   for (const int d : dims_) {
     SPB_REQUIRE(d >= 1, "torus dimensions must be positive");
+    strides_.push_back(static_cast<int>(nodes));
     nodes *= d;
-    SPB_REQUIRE(nodes <= (std::int64_t{1} << 22),
-                "torus too large (" << nodes << " nodes)");
+    SPB_REQUIRE(nodes <= kMaxNodes, "torus too large (" << nodes << " nodes)");
   }
   nodes_ = static_cast<int>(nodes);
 }
@@ -215,42 +209,44 @@ int TorusND::torus_delta(int from, int to, int size) {
   return forward <= -backward ? forward : backward;
 }
 
-std::vector<LinkId> TorusND::route_impl(NodeId a, NodeId b,
-                                        bool reverse) const {
-  Coord at = coord(a);
-  const Coord cb = coord(b);
-  std::vector<LinkId> path;
+void TorusND::walk(NodeId a, NodeId b, bool alt,
+                   std::vector<LinkId>& out) const {
+  SPB_REQUIRE(a >= 0 && a < nodes_ && b >= 0 && b < nodes_,
+              "node out of range");
+  out.clear();
+  const int n = ndims();
   const int slots = slots_per_node();
-
-  // Walk dimension k with wraparound, taking the shorter direction
-  // (positive on ties); slot 2k is +dim k, slot 2k+1 is -dim k.
-  const auto walk = [&](int k) {
-    const int size = dim(k);
-    const int delta = torus_delta(at[k], cb[k], size);
-    const int step = delta >= 0 ? 1 : -1;
-    const int slot = delta >= 0 ? 2 * k : 2 * k + 1;
-    for (int i = 0; i != delta; i += step) {
-      path.push_back(node_at(at) * slots + slot);
-      at[k] = (at[k] + step + size) % size;
-    }
-  };
-  if (reverse) {
-    for (int k = ndims() - 1; k >= 0; --k) walk(k);
-  } else {
-    for (int k = 0; k < ndims(); ++k) walk(k);
+  // Both endpoints' coordinates, one division per dimension each.
+  std::array<int, Coord::kMaxDims> ca{};
+  std::array<int, Coord::kMaxDims> cb{};
+  for (int k = 0, ra = a, rb = b; k < n; ++k) {
+    const int size = dims_[static_cast<std::size_t>(k)];
+    ca[static_cast<std::size_t>(k)] = ra % size;
+    cb[static_cast<std::size_t>(k)] = rb % size;
+    ra /= size;
+    rb /= size;
   }
-  SPB_CHECK(at == cb);
-  return path;
-}
-
-std::vector<LinkId> TorusND::route(NodeId a, NodeId b) const {
-  return route_impl(a, b, /*reverse=*/false);
-}
-
-// Same shorter-wrap walk as route(), in the reverse dimension order so a
-// degraded link on the primary path can be bypassed.
-std::vector<LinkId> TorusND::alt_route(NodeId a, NodeId b) const {
-  return route_impl(a, b, /*reverse=*/true);
+  NodeId at = a;
+  // Walk dimension k with wraparound, taking the shorter direction
+  // (positive on ties); slot 2k is +dim k, slot 2k+1 is -dim k.  The
+  // alternate route walks the dimensions highest-first.
+  for (int i = 0; i < n; ++i) {
+    const auto k = static_cast<std::size_t>(alt ? n - 1 - i : i);
+    const int size = dims_[k];
+    const int stride = strides_[k];
+    int c = ca[k];
+    const int delta = torus_delta(c, cb[k], size);
+    const int step = delta >= 0 ? 1 : -1;
+    const int slot = static_cast<int>(2 * k) + (delta >= 0 ? 0 : 1);
+    for (int h = std::abs(delta); h > 0; --h) {
+      out.push_back(at * slots + slot);
+      int next = c + step;
+      next = next == size ? 0 : next < 0 ? size - 1 : next;
+      at += (next - c) * stride;
+      c = next;
+    }
+  }
+  SPB_CHECK(at == b);
 }
 
 int TorusND::hops(NodeId a, NodeId b) const {
@@ -317,9 +313,7 @@ Cluster::Cluster(int nodes, int cores, double mesh_bw_scale)
   SPB_REQUIRE(nodes >= 1 && cores >= 1, "Cluster needs positive dimensions");
   SPB_REQUIRE(mesh_bw_scale > 0.0 && mesh_bw_scale <= 1.0,
               "mesh bandwidth scale must be in (0, 1]");
-  SPB_REQUIRE(static_cast<std::int64_t>(nodes) * cores <=
-                  (std::int64_t{1} << 22),
-              "cluster too large");
+  SPB_REQUIRE(std::int64_t{nodes} * cores <= kMaxNodes, "cluster too large");
   near_square(nodes, nrows_, ncols_);
 }
 
@@ -336,58 +330,19 @@ NodeId Cluster::node_at(const Coord& c) const {
   return (c.y() * ncols_ + c.x()) * cores_ + c.z();
 }
 
-std::vector<LinkId> Cluster::route_impl(NodeId a, NodeId b,
-                                        bool y_first) const {
+void Cluster::walk(NodeId a, NodeId b, bool alt,
+                   std::vector<LinkId>& out) const {
   SPB_REQUIRE(a >= 0 && a < node_count() && b >= 0 && b < node_count(),
               "node out of range");
-  std::vector<LinkId> path;
-  if (a == b) return path;
-  const int na = a / cores_;
-  const int nb = b / cores_;
-  path.push_back(a * 6 + 0);  // core -> node switch
-  if (na != nb) {
-    // Walk the node mesh; every mesh channel belongs to its node's core 0.
-    int ax = na % ncols_;
-    int ay = na / ncols_;
-    const int bx = nb % ncols_;
-    const int by = nb / ncols_;
-    const auto base = [&](int x, int y) {
-      return static_cast<NodeId>((y * ncols_ + x) * cores_);
-    };
-    const auto walk_x = [&](int y) {
-      const int dir = bx > ax ? 2 : 3;  // slot 2 = +x, 3 = -x
-      const int step = bx > ax ? 1 : -1;
-      while (ax != bx) {
-        path.push_back(base(ax, y) * 6 + dir);
-        ax += step;
-      }
-    };
-    const auto walk_y = [&](int x) {
-      const int dir = by > ay ? 4 : 5;  // slot 4 = +y, 5 = -y
-      const int step = by > ay ? 1 : -1;
-      while (ay != by) {
-        path.push_back(base(x, ay) * 6 + dir);
-        ay += step;
-      }
-    };
-    if (y_first) {
-      walk_y(ax);
-      walk_x(by);
-    } else {
-      walk_x(ay);
-      walk_y(bx);
-    }
-  }
-  path.push_back(b * 6 + 1);  // node switch -> core
-  return path;
-}
-
-std::vector<LinkId> Cluster::route(NodeId a, NodeId b) const {
-  return route_impl(a, b, /*y_first=*/false);
-}
-
-std::vector<LinkId> Cluster::alt_route(NodeId a, NodeId b) const {
-  return route_impl(a, b, /*y_first=*/true);
+  out.clear();
+  if (a == b) return;
+  out.push_back(a * 6 + 0);  // core -> node switch
+  // The node mesh, XY (YX for the alternate route); every mesh channel
+  // (slots 2..5) belongs to the node's core 0.
+  walk_mesh(a / cores_, b / cores_, ncols_, alt, [&](int node, int dir) {
+    out.push_back(node * cores_ * 6 + 2 + dir);
+  });
+  out.push_back(b * 6 + 1);  // node switch -> core
 }
 
 int Cluster::hops(NodeId a, NodeId b) const {

@@ -6,6 +6,11 @@
 // the deterministic dimension-ordered route between two nodes.  Timing and
 // contention live in net::NetworkModel.
 //
+// Routes are walked hop by hop over node ids (a fixed stride per dimension,
+// no coordinate conversion per hop) into a caller-owned buffer: route_into
+// with a warm buffer allocates nothing, which is what lets the network
+// model re-walk every route per reserved message instead of memoizing them.
+//
 // Link identifiers: every node has a fixed number of outgoing directed
 // channel slots (2 for the array, 4 for the mesh, 2 per dimension for a
 // torus), and LinkId = node * slots + direction.  Border slots of
@@ -13,6 +18,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,6 +54,10 @@ struct Coord {
 
 class Topology {
  public:
+  /// Largest node count any topology accepts (keeps every LinkId and the
+  /// per-link tables comfortably inside int).
+  static constexpr std::int64_t kMaxNodes = std::int64_t{1} << 22;
+
   virtual ~Topology() = default;
 
   /// Number of nodes.
@@ -57,16 +67,29 @@ class Topology {
   virtual int link_space() const = 0;
 
   /// Deterministic dimension-ordered route from a to b as a sequence of
-  /// directed links.  Empty iff a == b.
-  virtual std::vector<LinkId> route(NodeId a, NodeId b) const = 0;
+  /// directed links, written over `out` (cleared first; its capacity is
+  /// reused, so a warm buffer makes this allocation-free).  Empty iff
+  /// a == b.
+  void route_into(NodeId a, NodeId b, std::vector<LinkId>& out) const {
+    walk(a, b, /*alt=*/false, out);
+  }
+
+  /// route_into into a fresh vector.
+  std::vector<LinkId> route(NodeId a, NodeId b) const {
+    std::vector<LinkId> path;
+    route_into(a, b, path);
+    return path;
+  }
 
   /// A deterministic alternate route using the opposite dimension order,
   /// where the topology has one (mesh: YX instead of XY, torus: the
-  /// dimensions highest-first instead of lowest-first).  The fault-aware
-  /// network model tries it when the primary route crosses a degraded
-  /// link.  Defaults to the primary route.
-  virtual std::vector<LinkId> alt_route(NodeId a, NodeId b) const {
-    return route(a, b);
+  /// dimensions highest-first instead of lowest-first), else the primary
+  /// route.  The fault-aware network model tries it when the primary route
+  /// crosses a degraded link.
+  std::vector<LinkId> alt_route(NodeId a, NodeId b) const {
+    std::vector<LinkId> path;
+    walk(a, b, /*alt=*/true, path);
+    return path;
   }
 
   /// Hop distance (length of route(a, b) without materializing it).
@@ -93,6 +116,11 @@ class Topology {
 
   /// Outgoing channel slots per node (2, 4 or 6).
   virtual int slots_per_node() const = 0;
+
+ protected:
+  /// Writes the primary route (alt = false) or the alternate one over `out`.
+  virtual void walk(NodeId a, NodeId b, bool alt,
+                    std::vector<LinkId>& out) const = 0;
 };
 
 /// 1-D array of n nodes with bidirectional neighbour links (no wraparound).
@@ -102,7 +130,6 @@ class LinearArray final : public Topology {
 
   int node_count() const override { return n_; }
   int link_space() const override { return n_ * 2; }
-  std::vector<LinkId> route(NodeId a, NodeId b) const override;
   int hops(NodeId a, NodeId b) const override;
   Coord coord(NodeId n) const override { return {n, 0, 0}; }
   NodeId node_at(const Coord& c) const override { return c.x(); }
@@ -110,6 +137,9 @@ class LinearArray final : public Topology {
   int slots_per_node() const override { return 2; }
 
  private:
+  void walk(NodeId a, NodeId b, bool alt,
+            std::vector<LinkId>& out) const override;
+
   int n_;
 };
 
@@ -128,8 +158,6 @@ class Mesh2D final : public Topology {
 
   int node_count() const override { return rows_ * cols_; }
   int link_space() const override { return node_count() * 4; }
-  std::vector<LinkId> route(NodeId a, NodeId b) const override;
-  std::vector<LinkId> alt_route(NodeId a, NodeId b) const override;
   int hops(NodeId a, NodeId b) const override;
   Coord coord(NodeId n) const override;
   NodeId node_at(const Coord& c) const override;
@@ -137,7 +165,8 @@ class Mesh2D final : public Topology {
   int slots_per_node() const override { return 4; }
 
  private:
-  std::vector<LinkId> route_impl(NodeId a, NodeId b, bool y_first) const;
+  void walk(NodeId a, NodeId b, bool alt,
+            std::vector<LinkId>& out) const override;
 
   int rows_;
   int cols_;
@@ -158,7 +187,6 @@ class Hypercube final : public Topology {
 
   int node_count() const override { return 1 << dims_; }
   int link_space() const override { return node_count() * dims_; }
-  std::vector<LinkId> route(NodeId a, NodeId b) const override;
   int hops(NodeId a, NodeId b) const override;
   Coord coord(NodeId n) const override;
   NodeId node_at(const Coord& c) const override;
@@ -166,6 +194,9 @@ class Hypercube final : public Topology {
   int slots_per_node() const override { return dims_; }
 
  private:
+  void walk(NodeId a, NodeId b, bool alt,
+            std::vector<LinkId>& out) const override;
+
   int dims_;
 };
 
@@ -186,8 +217,6 @@ class TorusND : public Topology {
 
   int node_count() const override { return nodes_; }
   int link_space() const override { return nodes_ * slots_per_node(); }
-  std::vector<LinkId> route(NodeId a, NodeId b) const override;
-  std::vector<LinkId> alt_route(NodeId a, NodeId b) const override;
   int hops(NodeId a, NodeId b) const override;
   Coord coord(NodeId n) const override;
   NodeId node_at(const Coord& c) const override;
@@ -200,9 +229,12 @@ class TorusND : public Topology {
   static int torus_delta(int from, int to, int size);
 
  private:
-  std::vector<LinkId> route_impl(NodeId a, NodeId b, bool reverse) const;
+  void walk(NodeId a, NodeId b, bool alt,
+            std::vector<LinkId>& out) const override;
 
   std::vector<int> dims_;
+  /// Node-id stride of each dimension (dimension 0 fastest).
+  std::vector<int> strides_;
   int nodes_;
 };
 
@@ -250,8 +282,6 @@ class Cluster final : public Topology {
 
   int node_count() const override { return nodes() * cores_; }
   int link_space() const override { return node_count() * 6; }
-  std::vector<LinkId> route(NodeId a, NodeId b) const override;
-  std::vector<LinkId> alt_route(NodeId a, NodeId b) const override;
   int hops(NodeId a, NodeId b) const override;
   Coord coord(NodeId n) const override;
   NodeId node_at(const Coord& c) const override;
@@ -261,7 +291,8 @@ class Cluster final : public Topology {
   int slots_per_node() const override { return 6; }
 
  private:
-  std::vector<LinkId> route_impl(NodeId a, NodeId b, bool y_first) const;
+  void walk(NodeId a, NodeId b, bool alt,
+            std::vector<LinkId>& out) const override;
 
   int nrows_;
   int ncols_;

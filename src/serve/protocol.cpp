@@ -120,7 +120,7 @@ struct RequestFields {
       return checked(r, "\"sources\" must be a non-negative integer");
     }
     if (key == "len")
-      return checked(integer(1, 1ull << 40, out.len),
+      return checked(integer(1, stop::kMaxMessageBytes, out.len),
                      "\"len\" must be a positive integer");
     if (key == "seed")
       return checked(integer(0, UINT64_MAX, out.seed),

@@ -1,14 +1,30 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
 
 namespace spb::sim {
 
+void EventQueue::file(const Entry& e) {
+  const auto b = static_cast<std::size_t>(std::bit_width(e.key ^ last_));
+  std::vector<Entry>& bucket = buckets_[b];
+  bucket.push_back(e);
+  if (b != 0) {
+    min_[b] = bucket.size() == 1 ? e.key : std::min(min_[b], e.key);
+    mask_ |= std::uint64_t{1} << (b - 1);
+  }
+}
+
 void EventQueue::push(SimTime t, EventFn fn) {
   SPB_REQUIRE(static_cast<bool>(fn), "cannot schedule a null event callback");
   SPB_REQUIRE(t >= 0, "cannot schedule an event at negative time " << t);
+  // + 0.0 normalizes -0.0, whose bit pattern would order last.
+  const auto key = std::bit_cast<std::uint64_t>(t + 0.0);
+  SPB_REQUIRE(key >= last_, "event at t=" << t << " precedes the last pop at t="
+                                          << std::bit_cast<SimTime>(last_)
+                                          << "; the queue is monotone");
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -16,73 +32,36 @@ void EventQueue::push(SimTime t, EventFn fn) {
     slots_[slot] = std::move(fn);
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
-    SPB_CHECK_MSG(slot < kSlotMask, "event queue slot space exhausted");
     slots_.push_back(std::move(fn));
   }
-  const std::uint64_t seq = next_seq_++;
-  SPB_CHECK_MSG(seq < (std::uint64_t{1} << (64 - kSlotBits)),
-                "event sequence space exhausted");
-  // + 0.0 normalizes -0.0, whose bit pattern would order last.
-  heap_.push_back(
-      Key{std::bit_cast<std::uint64_t>(t + 0.0), (seq << kSlotBits) | slot});
-  sift_up(heap_.size() - 1);
-  if (heap_.size() > peak_) peak_ = heap_.size();
+  file(Entry{key, slot});
+  ++pushed_;
+  if (++size_ > peak_) peak_ = size_;
 }
 
 Event EventQueue::pop() {
-  SPB_REQUIRE(!heap_.empty(), "pop() on an empty event queue");
-  const Key top = heap_.front();
-  if (heap_.size() > 1) {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    sift_down(0);
-  } else {
-    heap_.pop_back();
+  SPB_REQUIRE(size_ != 0, "pop() on an empty event queue");
+  std::vector<Entry>& front = buckets_[0];
+  if (front.empty()) {
+    // Advance last_ to the lowest non-empty bucket's minimum and spread
+    // that bucket over the (empty) lower ones, in order.
+    const std::size_t b =
+        static_cast<std::size_t>(std::countr_zero(mask_)) + 1;
+    std::vector<Entry>& spill = buckets_[b];
+    last_ = min_[b];
+    mask_ &= mask_ - 1;
+    for (const Entry& e : spill) file(e);
+    spill.clear();
   }
-  const auto slot = static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-  Event out{std::bit_cast<SimTime>(top.tkey), top.seq_slot >> kSlotBits,
-            std::move(slots_[slot])};
-  free_slots_.push_back(slot);
+  const Entry top = front[head_];
+  if (++head_ == front.size()) {
+    front.clear();
+    head_ = 0;
+  }
+  --size_;
+  Event out{std::bit_cast<SimTime>(top.key), std::move(slots_[top.slot])};
+  free_slots_.push_back(top.slot);
   return out;
-}
-
-void EventQueue::sift_up(std::size_t i) {
-  const Key key = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!earlier(key, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = key;
-}
-
-void EventQueue::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const Key key = heap_[i];
-  const Key* h = heap_.data();
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    std::size_t best;
-    if (first + 4 <= n) {
-      // Full node (the overwhelmingly common case): branchless min-of-4
-      // over one cache line.
-      best = first;
-      best = earlier(h[first + 1], h[best]) ? first + 1 : best;
-      best = earlier(h[first + 2], h[best]) ? first + 2 : best;
-      best = earlier(h[first + 3], h[best]) ? first + 3 : best;
-    } else if (first < n) {
-      best = first;
-      for (std::size_t c = first + 1; c < n; ++c)
-        if (earlier(h[c], h[best])) best = c;
-    } else {
-      break;
-    }
-    if (!earlier(h[best], key)) break;
-    heap_[i] = h[best];
-    i = best;
-  }
-  heap_[i] = key;
 }
 
 }  // namespace spb::sim

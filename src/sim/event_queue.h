@@ -1,7 +1,6 @@
 // Time-ordered event queue.  Events with equal timestamps are dispatched in
-// insertion order (a monotonically increasing sequence number breaks ties),
-// which makes every simulation bit-for-bit deterministic — a property the
-// tests assert and the benchmark harness relies on.
+// insertion order, which makes every simulation bit-for-bit deterministic —
+// a property the tests assert and the benchmark harness relies on.
 //
 // Performance shape (this is the simulator's innermost loop — several
 // events per simulated message, hundreds of thousands per sweep):
@@ -9,13 +8,12 @@
 //    handles, `[&runtime, slot]` captures — so the hot path never touches
 //    the heap.  Larger or non-trivially-copyable callables (std::function,
 //    test lambdas capturing containers) transparently spill to the heap.
-//  * The heap is a flat 4-ary array heap over 16-byte (time, seq+slot)
-//    keys; the callables themselves sit still in a slot pool.  Sifting
-//    moves small trivially-copyable keys, and a node's four children
-//    span a single cache line — shallower and far denser in cache than
-//    a binary heap of full events.
+//  * The queue is a monotone radix heap over 16-byte (time, slot) entries
+//    (EventQueue below, DESIGN.md §3); the callables themselves sit still
+//    in a slot pool.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -115,65 +113,79 @@ class EventFn {
 /// A scheduled callback.
 struct Event {
   SimTime time = 0;
-  std::uint64_t seq = 0;
   EventFn fn;
 };
 
+/// Monotone radix heap keyed on the timestamp's bit pattern.  For
+/// non-negative doubles unsigned bit-pattern order is numeric order, so
+/// the heap compares integers.  An entry sits in bucket
+/// bit_width(key ^ last), where `last` is the key of the last pop: bucket 0
+/// holds the keys equal to it, bucket b the keys whose highest bit
+/// differing from it is b - 1.  A pop takes bucket 0's front; once bucket 0
+/// is empty it moves `last` to the lowest non-empty bucket's minimum and
+/// redistributes that bucket, every entry of which lands in a lower one.
+///
+/// Push contract: push(t) needs t >= the time of the last pop (a smaller
+/// key would be filed in the wrong bucket).  Simulator::at and
+/// ShardedEngine::at already guarantee it; push enforces it.
+///
+/// Ties stay FIFO without a sequence number: equal keys always share a
+/// bucket, pushes append, and redistribution is stable into buckets that
+/// are empty, so insertion order survives every move.
 class EventQueue {
  public:
-  /// Enqueues fn at absolute time t.
+  /// Enqueues fn at absolute time t (t >= the time of the last pop).
   void push(SimTime t, EventFn fn);
 
   /// Removes and returns the earliest event (FIFO among equal times).
   Event pop();
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
   /// Timestamp of the earliest pending event without popping it (queue
-  /// must be non-empty).  The sharded engine uses this to find each
-  /// window's start and to stop a shard's drain at the window end.
-  SimTime top_time() const { return std::bit_cast<SimTime>(heap_[0].tkey); }
+  /// must be non-empty).  O(1) and never moves the reference key, so a
+  /// caller may peek and then push anywhere between the last pop and the
+  /// peeked head — the sharded engine does exactly that.
+  SimTime top_time() const {
+    return std::bit_cast<SimTime>(
+        !buckets_[0].empty() ? last_ : min_[std::countr_zero(mask_) + 1]);
+  }
 
   /// Total number of events ever pushed.
-  std::uint64_t pushed() const { return next_seq_; }
+  std::uint64_t pushed() const { return pushed_; }
 
   /// High-water mark of the queue depth (perf-harness metric: a proxy for
   /// how much concurrency the simulated algorithm exposes).
   std::size_t peak_size() const { return peak_; }
 
  private:
-  /// Heap entry, 16 bytes.  `tkey` is the timestamp's bit pattern: for
-  /// non-negative doubles (simulated time never goes negative — push
-  /// enforces it) unsigned bit-pattern order equals numeric order, which
-  /// lets earlier() compare integers without float-compare branches.
-  /// `seq_slot` packs the sequence number into the high 40 bits and the
-  /// parked callable's slot into the low 24; sequence bits dominate the
-  /// compare, so ordering on (tkey, seq_slot) is ordering on (time, seq).
-  /// Four children span exactly one cache line.
-  struct Key {
-    std::uint64_t tkey;
-    std::uint64_t seq_slot;
+  /// Bucket entry: the timestamp's bit pattern and the parked callable's
+  /// slot.
+  struct Entry {
+    std::uint64_t key;
+    std::uint32_t slot;
   };
 
-  static constexpr std::uint64_t kSlotBits = 24;  // 16M concurrent events
-  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::size_t kBuckets = 65;
 
-  /// Branchless on purpose: equal timestamps (resolved by seq) are the
-  /// common case in lock-step collectives and would mispredict a
-  /// short-circuit form badly.
-  static bool earlier(const Key& a, const Key& b) {
-    return (a.tkey < b.tkey) |
-           ((a.tkey == b.tkey) & (a.seq_slot < b.seq_slot));
-  }
+  /// Files an entry by its key relative to last_.
+  void file(const Entry& e);
 
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-
-  std::vector<Key> heap_;        // flat 4-ary min-heap on (time, seq)
+  std::array<std::vector<Entry>, kBuckets> buckets_;
+  /// Cached minimum key of each non-empty bucket 1..64; bucket 0's keys
+  /// all equal last_.
+  std::array<std::uint64_t, kBuckets> min_{};
+  /// Bit b - 1 set iff bucket b (1..64) is non-empty.
+  std::uint64_t mask_ = 0;
+  /// Key of the last pop (0 before the first: times are non-negative).
+  std::uint64_t last_ = 0;
   std::vector<EventFn> slots_;   // parked callables, indexed by slot
   std::vector<std::uint32_t> free_slots_;
-  std::uint64_t next_seq_ = 0;
+  /// Read cursor into bucket 0, which is consumed front to back.
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  std::uint64_t pushed_ = 0;
   std::size_t peak_ = 0;
 };
 

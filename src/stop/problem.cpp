@@ -30,11 +30,16 @@ void Problem::validate() const {
   SPB_REQUIRE(sources.front() >= 0 && sources.back() < machine.p,
               "source rank out of range");
   SPB_REQUIRE(message_bytes > 0, "message length must be positive");
+  SPB_REQUIRE(message_bytes <= kMaxMessageBytes,
+              "message length " << message_bytes << " exceeds the maximum "
+                                << kMaxMessageBytes << " bytes");
   if (!per_source_bytes.empty()) {
     SPB_REQUIRE(per_source_bytes.size() == sources.size(),
                 "per-source lengths must align with the source list");
     for (const Bytes b : per_source_bytes)
-      SPB_REQUIRE(b > 0, "per-source message length must be positive");
+      SPB_REQUIRE(b > 0 && b <= kMaxMessageBytes,
+                  "per-source message length " << b << " is outside [1, "
+                                               << kMaxMessageBytes << "]");
   }
 }
 

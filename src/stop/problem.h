@@ -13,6 +13,11 @@
 
 namespace spb::stop {
 
+/// Largest message length any problem (and the serve wire protocol's
+/// "len") accepts: 1 TiB, far beyond any modeled transfer and far below
+/// the point where byte counts stop converting exactly to simulated time.
+inline constexpr Bytes kMaxMessageBytes = Bytes{1} << 40;
+
 struct Problem {
   machine::MachineConfig machine;
   /// Sorted, distinct source ranks; 1 <= |sources| <= machine.p.
@@ -32,7 +37,8 @@ struct Problem {
   /// Message length of one source (per-source override or the uniform L).
   Bytes bytes_of_source(std::size_t source_index) const;
 
-  /// Throws CheckError if the instance is malformed.
+  /// Throws CheckError if the instance is malformed (including a message
+  /// length above kMaxMessageBytes).
   void validate() const;
 };
 

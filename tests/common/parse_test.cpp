@@ -130,6 +130,17 @@ TEST(ParseThrowing, MessageNamesTheInput) {
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("negative"), std::string::npos);
   }
+  // Int flags: 2^32 + 2 must not come back as 2, "3abc" not as 3.
+  EXPECT_EQ(parse_int_or_throw("--s", "12"), 12);
+  for (const std::string text : {"4294967298", "3abc", "-5", "1000000001"}) {
+    try {
+      parse_int_or_throw("--s", text);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("--s '" + text + "'"),
+                std::string::npos);
+    }
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // bytes as a serial one for any job count.  These tests run the real
 // analyzer combos (full record + static checks per combination) across
 // threads — under TSan they double as the data-race check for everything
-// a combination touches (runtime, simulator, route cache, ideal-placement
+// a combination touches (runtime, simulator, network model, ideal-placement
 // memo).
 #include <gtest/gtest.h>
 

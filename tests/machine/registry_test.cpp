@@ -134,6 +134,11 @@ TEST(Registry, MalformedParametersNameTheField) {
   EXPECT_NE(what_of("cluster8").find("want clusterNxM"), std::string::npos);
   EXPECT_NE(what_of("t3d64:x").find("scatter seed"), std::string::npos);
   EXPECT_NE(what_of("hypercube").find("dimension count"), std::string::npos);
+  // 46341^2 overflows int: counted in 64 bits, capped like torus/cluster.
+  EXPECT_NE(what_of("paragon46341x46341").find("'paragon46341x46341' is too"),
+            std::string::npos);
+  EXPECT_NE(what_of("paragon2049x2048").find("too large"), std::string::npos);
+  EXPECT_THROW(net::Mesh2D(46341, 46341), CheckError);
 }
 
 TEST(TorusMachine, ShapeAndConstants) {

@@ -1,46 +1,18 @@
-// Route caching under fault plans: the cache must stay a pure memoization
-// of route() across invalidations, degradation windows must flush it, and
-// the degraded-link detour must actually move traffic off the bad link.
+// NetworkModel routing under fault plans: the alternate dimension order,
+// the degraded-link detour that must actually move traffic off the bad
+// link, and degradation windows that flush and rebuild the detour memo.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/check.h"
 #include "fault/fault.h"
 #include "net/network.h"
-#include "net/route_cache.h"
 #include "net/topology.h"
 
 namespace spb::net {
 namespace {
-
-void expect_cache_matches_fresh(RouteCache& cache, const Topology& topo) {
-  for (int a = 0; a < topo.node_count(); ++a)
-    for (int b = 0; b < topo.node_count(); ++b) {
-      const std::vector<LinkId> fresh = topo.route(a, b);
-      const std::span<const LinkId> cached = cache.path(a, b);
-      ASSERT_EQ(cached.size(), fresh.size()) << a << "->" << b;
-      for (std::size_t i = 0; i < fresh.size(); ++i)
-        ASSERT_EQ(cached[i], fresh[i]) << a << "->" << b << " hop " << i;
-    }
-}
-
-TEST(RouteCacheInvalidate, RefillsCorrectlyAfterFlush) {
-  const Mesh2D mesh(4, 5);
-  RouteCache cache(mesh);
-  expect_cache_matches_fresh(cache, mesh);
-  EXPECT_GT(cache.cached_pairs(), 0u);
-  cache.invalidate();
-  EXPECT_EQ(cache.cached_pairs(), 0u);
-  // Differential pass after the flush: every refilled path must again be
-  // the exact route() result (a stale arena slot would diverge here).
-  expect_cache_matches_fresh(cache, mesh);
-  cache.invalidate();
-  cache.invalidate();  // idempotent on an empty cache
-  EXPECT_EQ(cache.cached_pairs(), 0u);
-}
 
 TEST(AltRoute, OppositeDimensionOrderOnTheMesh) {
   const Mesh2D mesh(4, 6);
@@ -127,7 +99,7 @@ TEST(FaultedRouting, NoDetourWhenTheAlternativeIsNoBetter) {
   EXPECT_GT(slow.arrive, fast.arrive);
 }
 
-TEST(FaultedRouting, WindowedPlanFlushesTheRouteCache) {
+TEST(FaultedRouting, WindowedPlanRebuildsTheDetourMemo) {
   DetourFixture fx;
   NetworkModel model(fx.mesh, NetParams{});
   model.set_fault_plan(fx.plan("links=0.1x4,window=1000"));
@@ -135,19 +107,24 @@ TEST(FaultedRouting, WindowedPlanFlushesTheRouteCache) {
   // Window 0 (degraded): the transfer detours around the bad link.
   (void)model.reserve(fx.src, fx.dst, 1024, 10.0);
   EXPECT_EQ(model.stats().detours, 1u);
+  EXPECT_EQ(model.stats().route_invalidations, 0u);
 
-  // Window 1 (healthy): crossing the boundary must invalidate the cache,
-  // and the primary route is used again.
+  // Window 1 (healthy): crossing the boundary flushes the detour memo, and
+  // the primary route is used again.
   (void)model.reserve(fx.src, fx.dst, 1024, 1500.0);
-  EXPECT_GE(model.stats().route_invalidations, 1u);
+  EXPECT_EQ(model.stats().route_invalidations, 1u);
   EXPECT_EQ(model.stats().detours, 1u);
-  EXPECT_GT(model.link_busy_us(fx.bad), 0.0)
-      << "healthy window should use the primary route";
+  const double busy = model.link_busy_us(fx.bad);
+  EXPECT_GT(busy, 0.0) << "healthy window should use the primary route";
 
-  // Differential check after the flush churn: the model's cache still
-  // memoizes route() exactly for every pair.
-  RouteCache& cache = const_cast<RouteCache&>(model.routes());
-  expect_cache_matches_fresh(cache, *fx.mesh);
+  // Window 2 (degraded again): the memo is rebuilt from scratch and the
+  // transfer detours once more, leaving the bad link untouched.
+  (void)model.reserve(fx.src, fx.dst, 1024, 2500.0);
+  EXPECT_EQ(model.stats().route_invalidations, 2u);
+  EXPECT_EQ(model.stats().detours, 2u);
+  EXPECT_EQ(model.stats().degraded_transfers, 0u);
+  EXPECT_DOUBLE_EQ(model.link_busy_us(fx.bad), busy)
+      << "the second degraded window crossed the bad link";
 }
 
 TEST(FaultedRouting, PlanForWrongLinkSpaceRejected) {

@@ -272,19 +272,25 @@ TEST(Server, MalformedLinesAnswerAndSessionContinues) {
     server.submit_line("\x01garbage");                          // not JSON
     server.submit_line(
         R"({"op":"plan","machine":"paragon9000","len":1024})");  // bad machine
+    // More nodes than an int holds: named, not an overflow's symptom.
+    server.submit_line(
+        R"({"op":"plan","machine":"paragon46341x46341","len":1024})");
     server.submit_line(R"({"op":"plan","dist":"R","sources":4,"len":2048})");
     server.drain();
-    EXPECT_EQ(server.counters().errors, 6u);
+    EXPECT_EQ(server.counters().errors, 7u);
     EXPECT_EQ(server.counters().plan, 1u);
   }
   const std::vector<std::string> lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 7u);
-  for (std::size_t i = 0; i < 6; ++i) {
+  ASSERT_EQ(lines.size(), 8u);
+  for (std::size_t i = 0; i < 7; ++i) {
     EXPECT_TRUE(parses(lines[i]))
         << lines[i];
     EXPECT_NE(lines[i].find("\"ok\":false"), std::string::npos) << lines[i];
   }
-  EXPECT_NE(lines[6].find("\"ok\":true"), std::string::npos);
+  EXPECT_NE(lines[6].find("'paragon46341x46341' is too large"),
+            std::string::npos)
+      << lines[6];
+  EXPECT_NE(lines[7].find("\"ok\":true"), std::string::npos);
 }
 
 TEST(Server, ExecuteRunsThePredictedBest) {

@@ -13,6 +13,19 @@
 namespace spb::stop {
 namespace {
 
+TEST(VariedLengths, MessageLengthsAreCappedAtTheWireLimit) {
+  const auto machine = machine::paragon(4, 4);
+  const Problem at_cap =
+      make_problem(machine, dist::Kind::kEqual, 8, kMaxMessageBytes);
+  // 2^64 - 1 used to wrap the wire size (header + L) to a few bytes.
+  for (const Bytes len : {kMaxMessageBytes + 1, ~Bytes{0}}) {
+    EXPECT_THROW(make_problem(machine, dist::Kind::kEqual, 4, len), CheckError);
+    EXPECT_THROW(make_problem(machine, {0, 5}, len), CheckError);
+  }
+  // Jitter around the cap pushes some per-source length above it.
+  EXPECT_THROW(with_varied_lengths(at_cap, 0.5, 3), CheckError);
+}
+
 TEST(VariedLengths, EveryAlgorithmBroadcastsCorrectly) {
   const auto machine = machine::paragon(6, 8);
   Problem pb = make_problem(machine, dist::Kind::kEqual, 12, 2048);

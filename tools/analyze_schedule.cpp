@@ -26,7 +26,7 @@
 
 #include "analyze/mutate.h"
 #include "analyze/sweep.h"
-#include "common/check.h"
+#include "common/parse.h"
 #include "dist/distribution.h"
 #include "fault/fault.h"
 #include "machine/config.h"
@@ -113,11 +113,11 @@ Options parse(int argc, char** argv) {
     } else if (a == "--dist") {
       o.dist = next(i);
     } else if (a == "--s") {
-      o.s = std::stoi(next(i));
+      o.s = parse_int_or_throw("--s", next(i));
     } else if (a == "--bytes") {
-      o.bytes = static_cast<Bytes>(std::stoull(next(i)));
+      o.bytes = parse_u64_or_throw("--bytes", next(i));
     } else if (a == "--seed") {
-      o.seed = std::stoull(next(i));
+      o.seed = parse_u64_or_throw("--seed", next(i));
     } else if (a == "--mutate") {
       const std::string m = next(i);
       if (m == "all") {
@@ -130,27 +130,20 @@ Options parse(int argc, char** argv) {
       std::string text = next(i);
       const std::size_t colon = text.find(':');
       if (colon != std::string::npos) {
-        const std::string seed_text = text.substr(0, colon);
-        try {
-          std::size_t used = 0;
-          o.fault_seed = std::stoull(seed_text, &used);
-          SPB_REQUIRE(used == seed_text.size(), "trailing junk");
-        } catch (const std::exception&) {
-          SPB_REQUIRE(false, "bad fault seed '"
-                                 << seed_text
-                                 << "' in --faults (want [SEED:]SPEC)");
-        }
+        o.fault_seed =
+            parse_u64_or_throw("fault seed in --faults ([SEED:]SPEC)",
+                               text.substr(0, colon));
         text = text.substr(colon + 1);
       }
       o.faults = fault::FaultSpec::parse(text);
     } else if (a == "--expect-violations") {
       o.expect_violations = true;
     } else if (a == "--step-slack") {
-      o.step_slack = std::stod(next(i));
+      o.step_slack = parse_double_or_throw("--step-slack", next(i));
     } else if (a == "--volume-slack") {
-      o.volume_slack = std::stod(next(i));
+      o.volume_slack = parse_double_or_throw("--volume-slack", next(i));
     } else if (a == "--jobs") {
-      o.jobs = std::stoi(next(i));
+      o.jobs = parse_int_or_throw("--jobs", next(i));
       if (o.jobs == 0) o.jobs = bench::SweepRunner::hardware_jobs();
     } else if (a == "--list") {
       std::cout << "algorithms:\n";

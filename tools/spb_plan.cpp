@@ -89,7 +89,7 @@ Options parse(int argc, char** argv) {
     } else if (a == "--dist") {
       o.dist = next(i);
     } else if (a == "--sources") {
-      o.sources = static_cast<int>(parse_u64_or_throw("--sources", next(i)));
+      o.sources = parse_int_or_throw("--sources", next(i));
     } else if (a == "--len") {
       o.len = static_cast<Bytes>(parse_u64_or_throw("--len", next(i)));
     } else if (a == "--seed") {
@@ -108,11 +108,10 @@ Options parse(int argc, char** argv) {
     } else if (a == "--execute") {
       o.execute = true;
     } else if (a == "--replay") {
-      o.replay = static_cast<int>(parse_u64_or_throw("--replay", next(i)));
+      o.replay = parse_int_or_throw("--replay", next(i));
       SPB_REQUIRE(o.replay >= 1, "--replay wants at least one request");
     } else if (a == "--cache-capacity") {
-      o.cache_capacity =
-          static_cast<int>(parse_u64_or_throw("--cache-capacity", next(i)));
+      o.cache_capacity = parse_int_or_throw("--cache-capacity", next(i));
     } else if (a == "--out") {
       o.out = next(i);
     } else if (a == "--list") {

@@ -91,7 +91,7 @@ Options parse(int argc, char** argv) {
     } else if (a == "--algo") {
       o.algo = next(i);
     } else if (a == "--sources") {
-      o.sources = static_cast<int>(parse_u64_or_throw("--sources", next(i)));
+      o.sources = parse_int_or_throw("--sources", next(i));
     } else if (a == "--len") {
       o.len = static_cast<Bytes>(parse_u64_or_throw("--len", next(i)));
     } else if (a == "--seed") {
@@ -112,8 +112,7 @@ Options parse(int argc, char** argv) {
       if (v == "-1") {
         o.sim_threads = -1;  // auto: parse_u64 rejects the sign
       } else {
-        o.sim_threads =
-            static_cast<int>(parse_u64_or_throw("--sim-threads", v));
+        o.sim_threads = parse_int_or_throw("--sim-threads", v);
       }
     } else if (a == "--out") {
       o.out = next(i);

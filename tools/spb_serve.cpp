@@ -76,8 +76,7 @@ Options parse(int argc, char** argv) {
     if (a == "--machine") {
       o.server.machine = next(i);
     } else if (a == "--workers") {
-      o.server.workers =
-          static_cast<int>(parse_u64_or_throw("--workers", next(i)));
+      o.server.workers = parse_int_or_throw("--workers", next(i));
     } else if (a == "--shards") {
       o.server.cache_shards = parse_u64_or_throw("--shards", next(i));
     } else if (a == "--cache-capacity") {
@@ -92,7 +91,7 @@ Options parse(int argc, char** argv) {
     } else if (a == "--report") {
       o.report = next(i);
     } else if (a == "--demo") {
-      o.demo = static_cast<int>(parse_u64_or_throw("--demo", next(i)));
+      o.demo = parse_int_or_throw("--demo", next(i));
       SPB_REQUIRE(o.demo >= 1, "--demo wants at least one request");
     } else if (a == "--seed") {
       o.seed = parse_u64_or_throw("--seed", next(i));

@@ -29,6 +29,7 @@
 #include "analyze/mutate.h"
 #include "analyze/record.h"
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "dist/distribution.h"
 #include "machine/config.h"
@@ -92,11 +93,11 @@ Options parse(int argc, char** argv) {
     } else if (a == "--dist") {
       o.dist = next(i);
     } else if (a == "--s") {
-      o.s = std::stoi(next(i));
+      o.s = parse_int_or_throw("--s", next(i));
     } else if (a == "--bytes") {
-      o.bytes = static_cast<Bytes>(std::stoull(next(i)));
+      o.bytes = parse_u64_or_throw("--bytes", next(i));
     } else if (a == "--seed") {
-      o.seed = std::stoull(next(i));
+      o.seed = parse_u64_or_throw("--seed", next(i));
     } else if (a == "--mutate") {
       const std::string m = next(i);
       if (m == "all") {
@@ -107,9 +108,9 @@ Options parse(int argc, char** argv) {
     } else if (a == "--expect-rejection") {
       o.expect_rejection = true;
     } else if (a == "--random") {
-      o.random = std::stoi(next(i));
+      o.random = parse_int_or_throw("--random", next(i));
     } else if (a == "--max-states") {
-      o.max_states = std::stoull(next(i));
+      o.max_states = parse_u64_or_throw("--max-states", next(i));
     } else if (a == "--out") {
       o.out = next(i);
     } else if (a == "--verbose") {
