@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/sweep.h"
 #include "dist/distribution.h"
 #include "machine/config.h"
 #include "mp/payload.h"
@@ -26,6 +25,7 @@
 #include "stop/algorithm.h"
 #include "stop/run.h"
 #include "sweep_runner.h"
+#include "verify/sweep.h"
 
 namespace {
 
@@ -208,21 +208,21 @@ void bench_end_to_end_parallel(Metrics& m, double min_ms) {
 
 void bench_sweep(Metrics& m, int jobs) {
   // The analyzer sweep over the 4x4 Paragon: every algorithm x every
-  // distribution, exactly what `analyze_schedule --machine paragon4x4`
-  // runs.  Timed once serial, once with `jobs` threads.
-  std::vector<analyze::SweepCombo> grid;
+  // distribution, exactly what `spb_check --machine paragon4x4` runs.
+  // Timed once serial, once with `jobs` threads.
+  std::vector<verify::SweepCombo> grid;
   const machine::MachineConfig machine = machine::paragon(4, 4);
   for (const stop::AlgorithmPtr& alg : stop::all_algorithms())
     for (const dist::Kind kind : dist::all_kinds())
       grid.push_back({"paragon4x4", machine, alg, kind});
-  const analyze::SweepOptions sopt;
+  const verify::SweepOptions sopt;
 
   const auto timed_sweep = [&](int n_jobs) {
-    std::vector<analyze::ComboResult> results(grid.size());
+    std::vector<verify::ComboResult> results(grid.size());
     const bench::SweepRunner runner(n_jobs);
     const Clock::time_point t0 = Clock::now();
     runner.run(grid.size(), [&](std::size_t i) {
-      results[i] = analyze::analyze_combo(grid[i], sopt);
+      results[i] = verify::check_combo(grid[i], sopt);
     });
     return elapsed_ms(t0);
   };

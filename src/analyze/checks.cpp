@@ -1,12 +1,12 @@
 #include "analyze/checks.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 
+#include "analyze/graph.h"
 #include "common/check.h"
 #include "common/math.h"
 #include "mp/mailbox.h"
@@ -21,44 +21,25 @@ using mp::ScheduleOp;
 
 std::string op_location(const ScheduleOp& op) { return op.to_string(); }
 
-/// Statically re-derived matching: send id <-> recv id (-1 = unmatched).
-struct Matching {
-  std::vector<int> send_consumer;  // indexed by op id; -1 for recvs
-  std::vector<int> recv_source;    // indexed by op id; -1 for sends
-};
-
-/// Re-derives the send/recv matching from filters alone, honouring FIFO
-/// per (src, dst, tag).  Recorded match edges only break wildcard ties.
-Matching derive_matching(const mp::Schedule& sched,
-                         std::vector<Violation>& out) {
+/// Re-derives the send/recv matching into `graph` from filters alone,
+/// honouring FIFO per (src, dst, tag) channel.  Recorded match edges only
+/// break wildcard ties.
+void derive_matching(ScheduleGraph& graph, std::vector<Violation>& out) {
+  const mp::Schedule& sched = graph.schedule();
   const auto& ops = sched.ops();
-  Matching m;
-  m.send_consumer.assign(ops.size(), -1);
-  m.recv_source.assign(ops.size(), -1);
-
-  // Per destination rank: FIFO queues of pending send ids per (src, tag).
-  using Key = std::pair<Rank, int>;
-  std::vector<std::map<Key, std::deque<int>>> pending(
-      static_cast<std::size_t>(sched.rank_count()));
-  for (const ScheduleOp& op : ops) {
-    if (op.is_send())
-      pending[static_cast<std::size_t>(op.peer)][{op.rank, op.tag}]
-          .push_back(op.id);
-  }
-
-  const auto erase_from_queue = [](std::deque<int>& q, int id) {
-    q.erase(std::find(q.begin(), q.end(), id));
-  };
+  // Per channel: index of its first send that may still be unconsumed.
+  std::vector<std::size_t> head(
+      static_cast<std::size_t>(graph.channel_count()), 0);
 
   for (Rank d = 0; d < sched.rank_count(); ++d) {
-    auto& groups = pending[static_cast<std::size_t>(d)];
+    const auto [first, last] = graph.channels_into(d);
     for (const int rid : sched.ops_of_rank(d)) {
       const ScheduleOp& recv = ops[static_cast<std::size_t>(rid)];
       if (!recv.is_recv()) continue;
 
-      const auto compatible = [&](const Key& k) {
-        const bool src_ok = recv.peer == mp::kAnySource || recv.peer == k.first;
-        const bool tag_ok = recv.tag == mp::kAnyTag || recv.tag == k.second;
+      const auto compatible = [&](Rank src, int tag) {
+        const bool src_ok = recv.peer == mp::kAnySource || recv.peer == src;
+        const bool tag_ok = recv.tag == mp::kAnyTag || recv.tag == tag;
         return src_ok && tag_ok;
       };
 
@@ -69,23 +50,20 @@ Matching derive_matching(const mp::Schedule& sched,
       if (recv.match >= 0) {
         const ScheduleOp& hint = ops[static_cast<std::size_t>(recv.match)];
         if (hint.is_send() && hint.peer == d &&
-            m.send_consumer[static_cast<std::size_t>(hint.id)] < 0 &&
-            compatible({hint.rank, hint.tag})) {
+            graph.consumer_of(hint.id) < 0 && compatible(hint.rank, hint.tag))
           chosen = hint.id;
-          erase_from_queue(groups[{hint.rank, hint.tag}], chosen);
-        }
       }
       if (chosen < 0) {
         // Earliest-issued compatible send (FIFO heads only).
-        Key best_key{};
-        for (const auto& [key, q] : groups) {
-          if (q.empty() || !compatible(key)) continue;
-          if (chosen < 0 || q.front() < chosen) {
-            chosen = q.front();
-            best_key = key;
-          }
+        for (int c = first; c < last; ++c) {
+          const Channel& ch = graph.channel(c);
+          if (!compatible(ch.src, ch.tag)) continue;
+          const std::span<const int> sends = graph.channel_sends(c);
+          std::size_t& h = head[static_cast<std::size_t>(c)];
+          while (h < sends.size() && graph.consumer_of(sends[h]) >= 0) ++h;
+          if (h == sends.size()) continue;
+          if (chosen < 0 || sends[h] < chosen) chosen = sends[h];
         }
-        if (chosen >= 0) erase_from_queue(groups[best_key], chosen);
       }
 
       if (chosen < 0) {
@@ -103,8 +81,7 @@ Matching derive_matching(const mp::Schedule& sched,
         continue;
       }
 
-      m.recv_source[static_cast<std::size_t>(rid)] = chosen;
-      m.send_consumer[static_cast<std::size_t>(chosen)] = rid;
+      graph.match(rid, chosen);
 
       const ScheduleOp& send = ops[static_cast<std::size_t>(chosen)];
       // A completed receive recorded what actually arrived; its wire size
@@ -128,7 +105,7 @@ Matching derive_matching(const mp::Schedule& sched,
 
   for (const ScheduleOp& op : ops) {
     if (!op.is_send()) continue;
-    if (m.send_consumer[static_cast<std::size_t>(op.id)] >= 0) continue;
+    if (graph.consumer_of(op.id) >= 0) continue;
     Violation v;
     v.kind = Violation::Kind::kUnreceivedSend;
     v.op = op.id;
@@ -141,89 +118,6 @@ Matching derive_matching(const mp::Schedule& sched,
     v.message = os.str();
     out.push_back(std::move(v));
   }
-  return m;
-}
-
-/// Wait-for graph: op -> ops it waits on (program predecessor; for a
-/// receive, also the send it matches).
-std::vector<std::vector<int>> dependency_edges(const mp::Schedule& sched,
-                                               const Matching& m) {
-  const auto& ops = sched.ops();
-  std::vector<std::vector<int>> deps(ops.size());
-  for (Rank r = 0; r < sched.rank_count(); ++r) {
-    const auto& ids = sched.ops_of_rank(r);
-    for (std::size_t i = 1; i < ids.size(); ++i)
-      deps[static_cast<std::size_t>(ids[i])].push_back(ids[i - 1]);
-  }
-  for (const ScheduleOp& op : ops) {
-    if (!op.is_recv()) continue;
-    const int s = m.recv_source[static_cast<std::size_t>(op.id)];
-    if (s >= 0) deps[static_cast<std::size_t>(op.id)].push_back(s);
-  }
-  return deps;
-}
-
-/// DFS cycle detection; returns one cycle as op ids (empty = acyclic).
-std::vector<int> find_cycle(const std::vector<std::vector<int>>& deps) {
-  const int n = static_cast<int>(deps.size());
-  std::vector<int> color(static_cast<std::size_t>(n), 0);  // 0/1/2
-  std::vector<int> parent(static_cast<std::size_t>(n), -1);
-  for (int root = 0; root < n; ++root) {
-    if (color[static_cast<std::size_t>(root)] != 0) continue;
-    // Iterative DFS; the stack holds (node, next edge index).
-    std::vector<std::pair<int, std::size_t>> stack{{root, 0}};
-    color[static_cast<std::size_t>(root)] = 1;
-    while (!stack.empty()) {
-      auto& [u, next] = stack.back();
-      if (next < deps[static_cast<std::size_t>(u)].size()) {
-        const int v = deps[static_cast<std::size_t>(u)][next++];
-        if (color[static_cast<std::size_t>(v)] == 1) {
-          // Found a back edge u -> v: walk parents from u back to v.
-          std::vector<int> cycle{v};
-          for (int w = u; w != v; w = parent[static_cast<std::size_t>(w)])
-            cycle.push_back(w);
-          std::reverse(cycle.begin(), cycle.end());
-          return cycle;
-        }
-        if (color[static_cast<std::size_t>(v)] == 0) {
-          color[static_cast<std::size_t>(v)] = 1;
-          parent[static_cast<std::size_t>(v)] = u;
-          stack.push_back({v, 0});
-        }
-      } else {
-        color[static_cast<std::size_t>(u)] = 2;
-        stack.pop_back();
-      }
-    }
-  }
-  return {};
-}
-
-/// Kahn topological order over the dependency edges (partial if cyclic).
-std::vector<int> topological_order(
-    const std::vector<std::vector<int>>& deps) {
-  const int n = static_cast<int>(deps.size());
-  std::vector<int> blockers(static_cast<std::size_t>(n), 0);
-  std::vector<std::vector<int>> unblocks(static_cast<std::size_t>(n));
-  for (int u = 0; u < n; ++u) {
-    blockers[static_cast<std::size_t>(u)] =
-        static_cast<int>(deps[static_cast<std::size_t>(u)].size());
-    for (const int v : deps[static_cast<std::size_t>(u)])
-      unblocks[static_cast<std::size_t>(v)].push_back(u);
-  }
-  std::deque<int> ready;
-  for (int u = 0; u < n; ++u)
-    if (blockers[static_cast<std::size_t>(u)] == 0) ready.push_back(u);
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
-  while (!ready.empty()) {
-    const int u = ready.front();
-    ready.pop_front();
-    order.push_back(u);
-    for (const int w : unblocks[static_cast<std::size_t>(u)])
-      if (--blockers[static_cast<std::size_t>(w)] == 0) ready.push_back(w);
-  }
-  return order;
 }
 
 }  // namespace
@@ -246,7 +140,7 @@ std::string violation_kind_name(Violation::Kind kind) {
 std::string QualityMetrics::to_string() const {
   std::ostringstream os;
   os << "steps: max/rank " << max_rank_steps << ", critical depth "
-     << critical_depth << " (lower bound " << round_lower_bound << ")\n"
+     << message_rounds << " (lower bound " << round_lower_bound << ")\n"
      << "volume: payload " << total_payload_bytes << "B total, busiest rank "
      << max_rank_payload_bytes << "B (balanced lower bound "
      << per_rank_volume_lower_bound << "B/rank), wire " << total_wire_bytes
@@ -294,12 +188,13 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
   const auto& ops = sched.ops();
 
   // ---- 1. send/recv matching -----------------------------------------
-  const Matching m = derive_matching(sched, report.violations);
+  ScheduleGraph graph(sched);
+  derive_matching(graph, report.violations);
 
   // ---- 2. wait-for graph ---------------------------------------------
-  const std::vector<std::vector<int>> deps = dependency_edges(sched, m);
-  const std::vector<int> cycle = find_cycle(deps);
-  if (!cycle.empty()) {
+  const std::vector<int> topo = graph.topological_order();
+  if (topo.size() < ops.size()) {
+    const std::vector<int> cycle = graph.find_cycle();
     Violation v;
     v.kind = Violation::Kind::kDeadlockCycle;
     v.op = cycle.front();
@@ -313,7 +208,6 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
     v.message = os.str();
     report.violations.push_back(std::move(v));
   }
-  const std::vector<int> topo = topological_order(deps);
 
   // ---- 3. chunk conservation -----------------------------------------
   std::vector<char> is_source(static_cast<std::size_t>(pb.p()), 0);
@@ -388,7 +282,7 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
         }
       }
     } else {
-      const int sid = m.recv_source[static_cast<std::size_t>(id)];
+      const int sid = graph.source_of(id);
       if (sid < 0) continue;  // unmatched: already reported
       const ScheduleOp& send = ops[static_cast<std::size_t>(sid)];
       for (const Rank c : send.chunk_sources) {
@@ -456,24 +350,11 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
   for (const Bytes b : sent_payload)
     q.max_rank_payload_bytes = std::max(q.max_rank_payload_bytes, b);
 
-  // Message level = longest chain of matched messages ending at a send;
-  // doubling argument: level_max >= ceil(log2(p/s)).
-  std::vector<int> level(ops.size(), 0);
-  std::vector<int> rank_depth(static_cast<std::size_t>(pb.p()), 0);
-  for (const int id : topo) {
-    const ScheduleOp& op = ops[static_cast<std::size_t>(id)];
-    auto& depth = rank_depth[static_cast<std::size_t>(op.rank)];
-    if (op.is_send()) {
-      level[static_cast<std::size_t>(id)] = depth + 1;
-    } else {
-      const int sid = m.recv_source[static_cast<std::size_t>(id)];
-      if (sid >= 0)
-        depth = std::max(depth, level[static_cast<std::size_t>(sid)]);
-    }
-  }
-  for (const int l : level) q.critical_depth = std::max(q.critical_depth, l);
+  // Message rounds: doubling argument, rounds >= ceil(log2(p/s)).
+  const std::vector<int> level = graph.message_levels(topo);
+  for (const int l : level) q.message_rounds = std::max(q.message_rounds, l);
 
-  if (options.link_conflicts && pb.machine.topology) {
+  if (pb.machine.topology) {
     const net::Topology& topo_net = *pb.machine.topology;
     const net::RankMapping& mapping = pb.machine.mapping;
     // conflicts[level][link] would be huge; count per level on the fly.

@@ -9,17 +9,17 @@
 //     the (rank, peer, tag) filters under per-(src,dst,tag) FIFO order —
 //     the recorded match edges are used only to resolve wildcard
 //     ambiguity, never trusted for correctness.
-//  2. Deadlock-freedom: the wait-for graph (program-order edges within a
-//     rank, match edges from a receive to the send it consumes) must be
-//     acyclic; a cycle or an unmatched receive is reported with the full
-//     chain of ops (rank/step/tag) that hangs.
+//  2. Deadlock-freedom: the wait-for graph (analyze/graph.h: program-order
+//     edges within a rank, match edges from a receive to the send it
+//     consumes) must be acyclic; a cycle or an unmatched receive is
+//     reported with the full chain of ops (rank/step/tag) that hangs.
 //  3. Chunk conservation: chunk sets are duplicate-free, a rank only
 //     sends chunks it held at that point of its program (originals or
 //     previously received), and every rank ends holding all s source
 //     chunks.  Deliveries of already-held chunks are counted as
 //     redundancy (PersAlltoAll-style algorithms produce them on purpose,
 //     so they are a metric, not a violation).
-//  4. Schedule quality: measured steps/critical-path depth against the
+//  4. Schedule quality: measured steps/message rounds against the
 //     ceil(log2(p/s)) round lower bound, sent payload volume against the
 //     s*L*(p-1)/p per-rank lower bound, and per-level link-conflict
 //     counts on the problem's actual topology/mapping — regressions in
@@ -64,9 +64,10 @@ std::string violation_kind_name(Violation::Kind kind);
 struct QualityMetrics {
   /// Max communication ops of any rank (program steps).
   int max_rank_steps = 0;
-  /// Longest chain in the wait-for graph, counting match edges — the
-  /// schedule's logical round count.
-  int critical_depth = 0;
+  /// Message rounds (ScheduleGraph::message_levels): the longest chain of
+  /// matched messages, one level per message — printed as "critical
+  /// depth".  Not the op chain verify::DeadlockCheck counts.
+  int message_rounds = 0;
   /// ceil(log2(ceil(p/s))): the holder count at most doubles per round,
   /// and s ranks hold data at round zero.
   int round_lower_bound = 0;
@@ -94,15 +95,10 @@ struct QualityMetrics {
 };
 
 struct AnalysisOptions {
-  /// Route every transfer on the problem's topology and count per-level
-  /// link conflicts (skippable: it is the only O(ops * diameter) part).
-  bool link_conflicts = true;
   /// Optional quality gates; 0 disables the gate.  When set, measured /
   /// lower-bound ratios above the slack raise a kQuality violation.
   double max_step_slack = 0.0;
   double max_volume_slack = 0.0;
-  /// Cap on violations listed in the report text (all are counted).
-  int max_report = 16;
 };
 
 struct AnalysisReport {

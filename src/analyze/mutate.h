@@ -2,7 +2,7 @@
 //
 // Each mutation seeds one classic algorithm bug into a recorded schedule;
 // analyze_schedule() must flag every one of them with an actionable
-// report.  The `analyze_schedule --mutate` CLI mode and
+// report.  The `spb_check --mutate` CLI mode and
 // tests/analyze/mutation_test.cpp drive these.
 #pragma once
 

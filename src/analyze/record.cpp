@@ -33,7 +33,6 @@ RecordedRun record_run(const stop::Algorithm& algorithm,
     rt.run();
     out.completed = true;
   } catch (const mp::DeadlockError& e) {
-    out.deadlocked = true;
     out.failure = e.what();
   } catch (const CheckError& e) {
     out.failure = e.what();

@@ -21,8 +21,6 @@ struct RecordedRun {
   std::vector<mp::Payload> final_payloads;
   /// The simulation drained with every program finished.
   bool completed = false;
-  /// The runtime reported a deadlock (failure holds its diagnostic).
-  bool deadlocked = false;
   /// Text of the DeadlockError / CheckError, empty when completed.
   std::string failure;
 };

@@ -3,11 +3,10 @@
 //
 // Each registered family carries its CLI name pattern, a one-line
 // description, a concrete example spec and the parser that builds the
-// MachineConfig.  spb_plan, spb_report, spb_serve, spb_verify,
-// analyze_schedule and the bench CLI all consume this one table, so the
-// grammar, the `--machine list` catalogue and the unknown-spec error are
-// defined in exactly one place (the catalogue is golden-pinned in
-// tests/machine/registry_test.cpp).
+// MachineConfig.  spb_plan, spb_report, spb_serve, spb_check and the
+// bench CLI all consume this one table, so the grammar, the `--machine
+// list` catalogue and the unknown-spec error are defined in exactly one
+// place (the catalogue is golden-pinned in tests/machine/registry_test.cpp).
 #pragma once
 
 #include <functional>

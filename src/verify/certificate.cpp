@@ -42,7 +42,7 @@ std::string Certificate::to_string() const {
   os << ": " << match.sends << " sends, " << match.recvs << " recvs, "
      << structure.pools.size() << " pool(s), " << exploration.states
      << " states (" << exploration.branch_points << " branch points), depth "
-     << deadlock.critical_depth;
+     << deadlock.op_chain_depth;
   if (structure.rebinding_assumed) os << ", dispatch assumption";
   for (const auto& reason : reasons) os << "\n  - " << reason;
   return os.str();
@@ -50,14 +50,14 @@ std::string Certificate::to_string() const {
 
 Certificate certify_schedule(const mp::Schedule& schedule,
                              std::span<const Rank> sources,
-                             const CertifyOptions& options) {
+                             const ExploreOptions& options) {
   Certificate cert;
   cert.ranks = schedule.rank_count();
   cert.sources = static_cast<int>(sources.size());
   cert.match = check_match_graph(schedule);
   cert.deadlock = check_deadlock_free(schedule);
   cert.structure = extract_structure(schedule, sources);
-  cert.exploration = explore(schedule, cert.structure, options.explore);
+  cert.exploration = explore(schedule, cert.structure, options);
   cert.certified = cert.recorded_completed && cert.match.ok() &&
                    cert.deadlock.ok() && cert.structure.ok() &&
                    cert.exploration.deterministic;
@@ -67,7 +67,7 @@ Certificate certify_schedule(const mp::Schedule& schedule,
 
 Certificate certify(const stop::Algorithm& algorithm,
                     const stop::Problem& problem,
-                    const CertifyOptions& options) {
+                    const ExploreOptions& options) {
   const analyze::RecordedRun run = analyze::record_run(algorithm, problem);
   Certificate cert =
       certify_schedule(run.schedule, problem.sources, options);
@@ -122,7 +122,7 @@ void write_certificate(obs::JsonWriter& w, const Certificate& cert) {
   w.key("wait_for");
   w.begin_object();
   w.field("acyclic", cert.deadlock.ok());
-  w.field("critical_depth", cert.deadlock.critical_depth);
+  w.field("critical_depth", cert.deadlock.op_chain_depth);
   if (!cert.deadlock.ok()) {
     w.key("cycle");
     w.begin_array();

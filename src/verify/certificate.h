@@ -41,10 +41,6 @@
 
 namespace spb::verify {
 
-struct CertifyOptions {
-  ExploreOptions explore;
-};
-
 struct Certificate {
   // Provenance (empty when certifying a bare schedule).
   std::string algorithm;
@@ -76,13 +72,13 @@ struct Certificate {
 /// `sources` are the problem's source ranks.
 Certificate certify_schedule(const mp::Schedule& schedule,
                              std::span<const Rank> sources,
-                             const CertifyOptions& options = {});
+                             const ExploreOptions& options = {});
 
 /// Records one run of `algorithm` on `problem` and certifies it,
 /// including obligation 1 (the recording completed).
 Certificate certify(const stop::Algorithm& algorithm,
                     const stop::Problem& problem,
-                    const CertifyOptions& options = {});
+                    const ExploreOptions& options = {});
 
 /// Emits the certificate as one JSON object on `w` (caller owns the
 /// surrounding document, e.g. an array of certificates).

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <sstream>
-#include <tuple>
 #include <unordered_set>
 #include <vector>
 
+#include "analyze/graph.h"
 #include "common/check.h"
 
 namespace spb::verify {
@@ -38,8 +37,15 @@ struct Model {
   /// sends — the rank is a pure drain and is frozen during exploration.
   std::vector<std::vector<char>> send_free_from;
   std::vector<PoolPlan> pools;
-  std::vector<std::string> class_names;  // per cid, for witnesses
-  int class_count = 0;
+  /// Per class id: the graph's channels (same ids), then one supply-less
+  /// class per waiting item whose channel carries no send.
+  std::vector<analyze::Channel> classes;
+
+  std::string class_name(int cid) const {
+    const analyze::Channel& c = classes[static_cast<std::size_t>(cid)];
+    return "(" + std::to_string(c.src) + " -> " + std::to_string(c.dst) +
+           ", tag " + std::to_string(c.tag) + ")";
+  }
 };
 
 struct State {
@@ -57,7 +63,7 @@ class Explorer {
     State st;
     st.idx.assign(static_cast<std::size_t>(m_.rank_count), 0);
     st.mask.assign(static_cast<std::size_t>(m_.rank_count), 0);
-    st.pending.assign(static_cast<std::size_t>(m_.class_count), 0);
+    st.pending.assign(m_.classes.size(), 0);
     dfs(std::move(st));
     result_.states = visited_.size();
     result_.exhaustive = !cap_hit_ && !result_.deadlock_found;
@@ -169,7 +175,7 @@ class Explorer {
     const ItemPlan& it = items[static_cast<std::size_t>(idx)];
     if (it.kind == Item::Kind::kPinnedRecv) {
       os << ": pinned recv waiting for "
-         << m_.class_names[static_cast<std::size_t>(it.cid)];
+         << m_.class_name(it.cid);
       return;
     }
     if (it.kind != Item::Kind::kPool) return;
@@ -178,8 +184,7 @@ class Explorer {
     const std::uint64_t mask = st.mask[static_cast<std::size_t>(r)];
     for (std::size_t i = 0; i < pool.segments.size(); ++i) {
       if ((mask >> i) & 1) continue;
-      os << " "
-         << m_.class_names[static_cast<std::size_t>(pool.segments[i].cid)];
+      os << " " << m_.class_name(pool.segments[i].cid);
     }
   }
 
@@ -237,7 +242,8 @@ class Explorer {
     for (std::size_t c = 0; c < st.pending.size(); ++c) {
       if (st.pending[c] != 0 && anomaly_.empty()) {
         anomaly_ = "terminal state leaves " + std::to_string(st.pending[c]) +
-                   " undelivered message(s) of class " + m_.class_names[c];
+                   " undelivered message(s) of class " +
+                   m_.class_name(static_cast<int>(c));
       }
     }
   }
@@ -309,18 +315,17 @@ bool build_model(const mp::Schedule& schedule, const Structure& structure,
                  Model& model, std::string& note) {
   model.rank_count = schedule.rank_count();
   const auto& ops = schedule.ops();
+  const analyze::ScheduleGraph graph(schedule);
 
-  std::map<std::tuple<Rank, Rank, int>, int> class_ids;
+  for (int c = 0; c < graph.channel_count(); ++c)
+    model.classes.push_back(graph.channel(c));
   auto cid_of = [&](Rank dst, Rank src, int tag) {
-    auto [it, inserted] =
-        class_ids.insert({{dst, src, tag}, model.class_count});
-    if (inserted) {
-      ++model.class_count;
-      model.class_names.push_back("(" + std::to_string(src) + " -> " +
-                                  std::to_string(dst) + ", tag " +
-                                  std::to_string(tag) + ")");
-    }
-    return it->second;
+    const int c = graph.find_channel(src, dst, tag);
+    if (c >= 0) return c;
+    // No send on this channel: a class without supply, so whatever waits
+    // on it parks forever and the explorer reports a deadlock.
+    model.classes.push_back({src, dst, tag});
+    return static_cast<int>(model.classes.size()) - 1;
   };
 
   for (const Pool& pool : structure.pools) {
@@ -333,13 +338,10 @@ bool build_model(const mp::Schedule& schedule, const Structure& structure,
     PoolPlan plan;
     for (const Segment& seg : pool.segments) {
       SegmentPlan sp;
-      // An unbound class (mutated schedule) gets a supply-less class id:
-      // the pool then parks forever and the explorer reports a deadlock.
+      // An unbound class (mutated schedule) is supply-less.
       sp.cid = cid_of(pool.rank, seg.cls.src, seg.cls.tag);
-      for (int sid : seg.send_ids) {
-        const auto& send = ops[static_cast<std::size_t>(sid)];
-        sp.send_cids.push_back(cid_of(send.peer, send.rank, send.tag));
-      }
+      for (int sid : seg.send_ids)
+        sp.send_cids.push_back(graph.channel_of(sid));
       plan.segments.push_back(std::move(sp));
     }
     model.pools.push_back(std::move(plan));
@@ -354,8 +356,7 @@ bool build_model(const mp::Schedule& schedule, const Structure& structure,
       ItemPlan ip;
       ip.kind = item.kind;
       if (item.kind == Item::Kind::kSend) {
-        const auto& op = ops[static_cast<std::size_t>(item.op)];
-        ip.cid = cid_of(op.peer, op.rank, op.tag);
+        ip.cid = graph.channel_of(item.op);
       } else if (item.kind == Item::Kind::kPinnedRecv) {
         const auto& op = ops[static_cast<std::size_t>(item.op)];
         ip.cid = cid_of(op.rank, op.peer, op.tag);

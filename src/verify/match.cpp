@@ -1,10 +1,10 @@
 #include "verify/match.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <tuple>
 
+#include "analyze/graph.h"
 #include "mp/mailbox.h"
 #include "mp/message.h"
 
@@ -150,41 +150,40 @@ MatchCheck check_match_graph(const mp::Schedule& schedule) {
   // order, so the k-th send of a channel must be consumed by the k-th
   // receive (in the destination's program order) that took a message from
   // that channel — regardless of which filters those receives used.
-  std::map<std::tuple<Rank, Rank, int>, std::vector<int>> channel_sends;
-  for (const auto& op : ops) {
-    if (op.is_send()) {
-      channel_sends[{op.rank, op.peer, op.tag}].push_back(op.id);
-    }
-  }
-  std::map<std::tuple<Rank, Rank, int>, std::vector<int>> channel_recvs;
+  // Issues are reported per channel in (src, dst, tag) order.
+  const auto graph = analyze::ScheduleGraph::recorded(schedule);
+  std::vector<std::size_t> taken(
+      static_cast<std::size_t>(graph.channel_count()), 0);
+  std::vector<std::pair<int, MatchIssue>> fifo;  // (channel, issue)
   for (Rank r = 0; r < schedule.rank_count(); ++r) {
     for (int id : schedule.ops_of_rank(r)) {
-      const auto& op = ops[static_cast<std::size_t>(id)];
-      if (!op.is_recv() || op.match < 0 || !valid_id(op.match)) continue;
-      const auto& send = ops[static_cast<std::size_t>(op.match)];
-      if (!send.is_send()) continue;
-      channel_recvs[{send.rank, send.peer, send.tag}].push_back(id);
+      const int sid = graph.source_of(id);
+      if (sid < 0) continue;
+      const int c = graph.channel_of(sid);
+      const std::span<const int> sends = graph.channel_sends(c);
+      const std::size_t k = taken[static_cast<std::size_t>(c)]++;
+      if (k >= sends.size() || sends[k] == sid) continue;
+      const analyze::Channel& ch = graph.channel(c);
+      fifo.push_back(
+          {c,
+           {MatchIssue::Kind::kFifoViolation,
+            op_brief(ops[static_cast<std::size_t>(id)]) +
+                ": consumed send op " + std::to_string(sid) +
+                " but FIFO order on channel (" +
+                std::to_string(ch.src) + " -> " + std::to_string(ch.dst) +
+                ", tag " + std::to_string(ch.tag) + ") requires send op " +
+                std::to_string(sends[k]),
+            id}});
     }
   }
-  for (const auto& [channel, send_ids] : channel_sends) {
-    const auto it = channel_recvs.find(channel);
-    if (it == channel_recvs.end()) continue;
-    const auto& recv_ids = it->second;
-    const std::size_t k = std::min(send_ids.size(), recv_ids.size());
-    for (std::size_t i = 0; i < k; ++i) {
-      const auto& recv = ops[static_cast<std::size_t>(recv_ids[i])];
-      if (recv.match != send_ids[i]) {
-        add(MatchIssue::Kind::kFifoViolation,
-            op_brief(recv) + ": consumed send op " +
-                std::to_string(recv.match) + " but FIFO order on channel (" +
-                std::to_string(std::get<0>(channel)) + " -> " +
-                std::to_string(std::get<1>(channel)) + ", tag " +
-                std::to_string(std::get<2>(channel)) +
-                ") requires send op " + std::to_string(send_ids[i]),
-            recv.id);
-      }
-    }
-  }
+  const auto src_major = [&graph](int c) {
+    const analyze::Channel& ch = graph.channel(c);
+    return std::tie(ch.src, ch.dst, ch.tag);
+  };
+  std::stable_sort(fifo.begin(), fifo.end(), [&](const auto& a, const auto& b) {
+    return src_major(a.first) < src_major(b.first);
+  });
+  for (auto& [c, issue] : fifo) out.issues.push_back(std::move(issue));
 
   return out;
 }
@@ -192,90 +191,19 @@ MatchCheck check_match_graph(const mp::Schedule& schedule) {
 DeadlockCheck check_deadlock_free(const mp::Schedule& schedule) {
   DeadlockCheck out;
   const auto& ops = schedule.ops();
-  const int n = static_cast<int>(ops.size());
-
-  // Edges point from an op to what must happen before it: the previous op
-  // on the same rank, and — for a receive — the send it consumed.  A cycle
-  // in this graph is a circular wait.
-  std::vector<std::vector<int>> deps(static_cast<std::size_t>(n));
-  for (Rank r = 0; r < schedule.rank_count(); ++r) {
-    const auto& rank_ops = schedule.ops_of_rank(r);
-    for (std::size_t i = 1; i < rank_ops.size(); ++i) {
-      deps[static_cast<std::size_t>(rank_ops[i])].push_back(rank_ops[i - 1]);
-    }
-  }
-  for (const auto& op : ops) {
-    if (op.is_recv() && op.match >= 0 && op.match < n &&
-        ops[static_cast<std::size_t>(op.match)].is_send()) {
-      deps[static_cast<std::size_t>(op.id)].push_back(op.match);
-    }
-  }
-
-  // Iterative DFS with colors; on hitting a gray node, walk the parent
-  // chain back to it to extract the cycle.
-  enum : unsigned char { kWhite, kGray, kBlack };
-  std::vector<unsigned char> color(static_cast<std::size_t>(n), kWhite);
-  std::vector<int> parent(static_cast<std::size_t>(n), -1);
-  for (int root = 0; root < n && out.cycle.empty(); ++root) {
-    if (color[static_cast<std::size_t>(root)] != kWhite) continue;
-    std::vector<std::pair<int, std::size_t>> stack{{root, 0}};
-    color[static_cast<std::size_t>(root)] = kGray;
-    while (!stack.empty() && out.cycle.empty()) {
-      auto& [u, next] = stack.back();
-      const auto& adj = deps[static_cast<std::size_t>(u)];
-      if (next < adj.size()) {
-        const int v = adj[next++];
-        if (color[static_cast<std::size_t>(v)] == kWhite) {
-          color[static_cast<std::size_t>(v)] = kGray;
-          parent[static_cast<std::size_t>(v)] = u;
-          stack.push_back({v, 0});
-        } else if (color[static_cast<std::size_t>(v)] == kGray) {
-          out.cycle.push_back(v);
-          for (int w = u; w != v; w = parent[static_cast<std::size_t>(w)]) {
-            out.cycle.push_back(w);
-          }
-          std::reverse(out.cycle.begin(), out.cycle.end());
-        }
-      } else {
-        color[static_cast<std::size_t>(u)] = kBlack;
-        stack.pop_back();
-      }
-    }
-  }
-
-  if (!out.cycle.empty()) {
-    std::ostringstream os;
-    os << "wait-for cycle of " << out.cycle.size() << " ops:";
-    for (int id : out.cycle) {
-      os << "\n  " << ops[static_cast<std::size_t>(id)].to_string();
-    }
-    out.message = os.str();
+  const auto graph = analyze::ScheduleGraph::recorded(schedule);
+  const std::vector<int> order = graph.topological_order();
+  if (order.size() == ops.size()) {
+    out.op_chain_depth = graph.op_chain_depth(order);
     return out;
   }
-
-  // Acyclic: longest chain via DP over a reverse-postorder (colors are all
-  // black now, so a second pass computing depth memoized works directly).
-  std::vector<int> depth(static_cast<std::size_t>(n), -1);
-  for (int root = 0; root < n; ++root) {
-    if (depth[static_cast<std::size_t>(root)] >= 0) continue;
-    std::vector<std::pair<int, std::size_t>> stack{{root, 0}};
-    while (!stack.empty()) {
-      auto& [u, next] = stack.back();
-      const auto& adj = deps[static_cast<std::size_t>(u)];
-      if (next < adj.size()) {
-        const int v = adj[next++];
-        if (depth[static_cast<std::size_t>(v)] < 0) stack.push_back({v, 0});
-      } else {
-        int d = 1;
-        for (int v : adj) {
-          d = std::max(d, depth[static_cast<std::size_t>(v)] + 1);
-        }
-        depth[static_cast<std::size_t>(u)] = d;
-        stack.pop_back();
-      }
-    }
+  out.cycle = graph.find_cycle();
+  std::ostringstream os;
+  os << "wait-for cycle of " << out.cycle.size() << " ops:";
+  for (int id : out.cycle) {
+    os << "\n  " << ops[static_cast<std::size_t>(id)].to_string();
   }
-  for (int d : depth) out.critical_depth = std::max(out.critical_depth, d);
+  out.message = os.str();
   return out;
 }
 

@@ -16,10 +16,13 @@
 //                        promise mp/mailbox.h documents, re-proved per
 //                        schedule instead of assumed.
 //
-// check_deadlock_free() then builds the wait-for graph (program-order
-// edges within a rank, match edges from each receive to the send it
-// consumed) and proves it acyclic; a cycle is returned as the full op
-// chain so the report names every rank that hangs.
+// check_deadlock_free() then proves the wait-for graph of the recorded
+// matching (analyze/graph.h: program-order edges within a rank, match
+// edges from each receive to the send it consumed) acyclic; a cycle is
+// returned as the full op chain so the report names every rank that
+// hangs.
+//
+// Both checks read analyze::ScheduleGraph::recorded(schedule).
 #pragma once
 
 #include <string>
@@ -71,8 +74,10 @@ struct DeadlockCheck {
   std::vector<int> cycle;
   /// Human-readable chain for the cycle (empty when acyclic).
   std::string message;
-  /// Longest dependency chain (ops) — the schedule's logical depth.
-  int critical_depth = 0;
+  /// Op chain (ScheduleGraph::op_chain_depth): the longest wait-for chain
+  /// counted in ops, 0 when cyclic — the certificate's "depth".  Not the
+  /// message rounds analyze::QualityMetrics counts.
+  int op_chain_depth = 0;
 
   bool ok() const { return cycle.empty(); }
 };

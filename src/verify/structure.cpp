@@ -231,18 +231,11 @@ Structure extract_structure(const mp::Schedule& schedule,
     close_pool();
   }
 
-  // Steal safety.  Position of every op within its rank's program order.
-  std::vector<int> pos(ops.size(), -1);
-  for (Rank r = 0; r < schedule.rank_count(); ++r) {
-    const auto& rank_ops = schedule.ops_of_rank(r);
-    for (std::size_t i = 0; i < rank_ops.size(); ++i) {
-      pos[static_cast<std::size_t>(rank_ops[i])] = static_cast<int>(i);
-    }
-  }
+  // Steal safety.  An op's step is its position in its rank's program.
   for (const Pool& p : out.pools) {
     std::set<MsgClass> classes;
     for (const Segment& seg : p.segments) classes.insert(seg.cls);
-    const int pool_start = pos[static_cast<std::size_t>(p.segments.front().recv_id)];
+    const int pool_start = schedule.op(p.segments.front().recv_id).step;
     for (const auto& op : ops) {
       if (!op.is_send() || op.peer != p.rank) continue;
       if (p.src_filter != mp::kAnySource && p.src_filter != op.rank) continue;
@@ -254,7 +247,7 @@ Structure extract_structure(const mp::Schedule& schedule,
       // this rank's sequential program.
       const bool consumed_before =
           op.match >= 0 && op.match < static_cast<int>(ops.size()) &&
-          pos[static_cast<std::size_t>(op.match)] < pool_start;
+          schedule.op(op.match).step < pool_start;
       if (!consumed_before) {
         add_issue(StructureIssue::Kind::kStealHazard,
                   "rank " + std::to_string(p.rank) + " pool " +

@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "machine/config.h"
 #include "mp/mailbox.h"
+#include "schedule_fixtures.h"
 #include "stop/algorithm.h"
 #include "stop/problem.h"
 
@@ -21,22 +22,10 @@
 namespace spb::analyze {
 namespace {
 
-struct Recorded {
-  stop::Problem pb;
-  mp::Schedule schedule;
-};
-
-const Recorded& recorded_two_step() {
-  static const Recorded r = [] {
-    const stop::AlgorithmPtr alg = stop::find_algorithm("2-Step");
-    stop::Problem pb = stop::make_problem(machine::paragon(4, 4),
-                                          dist::Kind::kRow, 4, 2048);
-    RecordedRun run = record_run(*alg, pb);
-    SPB_CHECK_MSG(run.completed, run.failure);
-    return Recorded{std::move(pb), std::move(run.schedule)};
-  }();
-  return r;
-}
+using fixtures::Recorded;
+using fixtures::recorded_two_step;
+using fixtures::recv_op;
+using fixtures::send_op;
 
 bool has_kind(const AnalysisReport& r, Violation::Kind k) {
   for (const Violation& v : r.violations)
@@ -105,25 +94,8 @@ TEST(Mutation, CyclicWaitClosesAWaitForCycle) {
 
 TEST(Mutation, CyclicWaitNeedsAnExchangePair) {
   // One send, one receive, no reciprocal traffic: nothing to reorder.
-  mp::ScheduleOp send;
-  send.kind = mp::ScheduleOp::Kind::kSend;
-  send.id = 0;
-  send.rank = 0;
-  send.peer = 1;
-  send.tag = 0;
-  send.wire_bytes = 1020;
-  send.chunk_sources = {0};
-  send.payload_bytes = 1000;
-  send.match = 1;
-  mp::ScheduleOp recv;
-  recv.kind = mp::ScheduleOp::Kind::kRecv;
-  recv.id = 1;
-  recv.rank = 1;
-  recv.peer = 0;
-  recv.tag = 0;
-  recv.completed = true;
-  recv.match = 0;
-  const mp::Schedule sched = mp::Schedule::from_ops(2, {send, recv});
+  const mp::Schedule sched = mp::Schedule::from_ops(
+      2, {send_op(0, 0, 1, 0, 1), recv_op(1, 1, 0, 0, 0)});
   EXPECT_THROW(apply_mutation(sched, Mutation::kCyclicWait, 1), CheckError);
 }
 
@@ -139,25 +111,9 @@ TEST(Mutation, SameSeedPicksSameTarget) {
 
 TEST(Mutation, TagMismatchNeedsATagPinnedReceive) {
   // A schedule whose only receive is fully wildcard has no eligible op.
-  mp::ScheduleOp send;
-  send.kind = mp::ScheduleOp::Kind::kSend;
-  send.id = 0;
-  send.rank = 0;
-  send.peer = 1;
-  send.tag = 0;
-  send.wire_bytes = 1020;
-  send.chunk_sources = {0};
-  send.payload_bytes = 1000;
-  send.match = 1;
-  mp::ScheduleOp recv;
-  recv.kind = mp::ScheduleOp::Kind::kRecv;
-  recv.id = 1;
-  recv.rank = 1;
-  recv.peer = mp::kAnySource;
-  recv.tag = mp::kAnyTag;
-  recv.completed = true;
-  recv.match = 0;
-  const mp::Schedule sched = mp::Schedule::from_ops(2, {send, recv});
+  const mp::Schedule sched = mp::Schedule::from_ops(
+      2, {send_op(0, 0, 1, 0, 1),
+          recv_op(1, 1, mp::kAnySource, mp::kAnyTag, 0)});
   EXPECT_THROW(apply_mutation(sched, Mutation::kTagMismatch, 1),
                CheckError);
 }

@@ -12,6 +12,7 @@
 #include "machine/config.h"
 #include "mp/mailbox.h"
 #include "mp/schedule.h"
+#include "schedule_fixtures.h"
 #include "stop/algorithm.h"
 #include "stop/problem.h"
 
@@ -21,31 +22,9 @@
 namespace spb::analyze {
 namespace {
 
+using fixtures::recv_op;
+using fixtures::send_op;
 using mp::ScheduleOp;
-
-ScheduleOp send_op(int id, Rank rank, Rank dst, int tag, Bytes wire,
-                   std::vector<Rank> chunks, Bytes payload) {
-  ScheduleOp op;
-  op.kind = ScheduleOp::Kind::kSend;
-  op.id = id;
-  op.rank = rank;
-  op.peer = dst;
-  op.tag = tag;
-  op.wire_bytes = wire;
-  op.chunk_sources = std::move(chunks);
-  op.payload_bytes = payload;
-  return op;
-}
-
-ScheduleOp recv_op(int id, Rank rank, Rank src, int tag) {
-  ScheduleOp op;
-  op.kind = ScheduleOp::Kind::kRecv;
-  op.id = id;
-  op.rank = rank;
-  op.peer = src;
-  op.tag = tag;
-  return op;
-}
 
 stop::Problem two_rank_problem(std::vector<Rank> sources = {0, 1}) {
   return stop::make_problem(machine::paragon(1, 2), std::move(sources),
@@ -72,7 +51,7 @@ TEST(AnalyzeChecks, CleanPairwiseExchangeHasNoViolations) {
           recv_op(3, 1, 0, 0)});
   const AnalysisReport report = analyze_schedule(sched, two_rank_problem());
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_EQ(report.quality.critical_depth, 1);
+  EXPECT_EQ(report.quality.message_rounds, 1);
   EXPECT_EQ(report.quality.total_payload_bytes, 2000u);
   EXPECT_EQ(report.quality.round_lower_bound, 0);  // s == p
 }
@@ -196,16 +175,12 @@ TEST(AnalyzeChecks, QualityGatesTripOnlyWhenEnabled) {
 }
 
 TEST(AnalyzeChecks, RecordedTwoStepRunPassesAllChecks) {
-  const stop::AlgorithmPtr alg = stop::find_algorithm("2-Step");
-  const stop::Problem pb = stop::make_problem(
-      machine::paragon(4, 4), dist::Kind::kRow, 4, 2048);
-  const RecordedRun run = record_run(*alg, pb);
-  ASSERT_TRUE(run.completed) << run.failure;
-  const AnalysisReport report = analyze_schedule(run.schedule, pb);
+  const fixtures::Recorded& rec = fixtures::recorded_two_step();
+  const AnalysisReport report = analyze_schedule(rec.schedule, rec.pb);
   EXPECT_TRUE(report.ok()) << report.to_string();
   // p = 16, s = 4: no schedule can finish in fewer than 2 rounds.
   EXPECT_EQ(report.quality.round_lower_bound, 2);
-  EXPECT_GE(report.quality.critical_depth,
+  EXPECT_GE(report.quality.message_rounds,
             report.quality.round_lower_bound);
   EXPECT_GT(report.quality.total_payload_bytes, 0u);
 }

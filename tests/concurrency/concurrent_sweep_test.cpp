@@ -3,10 +3,10 @@
 // The sweep runner claims work with an atomic cursor and writes results
 // into index-addressed slots, so a parallel sweep must produce the same
 // bytes as a serial one for any job count.  These tests run the real
-// analyzer combos (full record + static checks per combination) across
-// threads — under TSan they double as the data-race check for everything
-// a combination touches (runtime, simulator, network model, ideal-placement
-// memo).
+// spb_check combos (full record + static checks, or record + model
+// checking, per combination) across threads — under TSan they double as
+// the data-race check for everything a combination touches (runtime,
+// simulator, network model, ideal-placement memo, explorer).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,19 +16,19 @@
 #include <thread>
 #include <vector>
 
-#include "analyze/sweep.h"
 #include "dist/distribution.h"
 #include "fault/fault.h"
 #include "dist/ideal.h"
 #include "machine/config.h"
 #include "stop/algorithm.h"
 #include "sweep_runner.h"
+#include "verify/sweep.h"
 
 namespace spb {
 namespace {
 
-std::vector<analyze::SweepCombo> paragon4x4_grid() {
-  std::vector<analyze::SweepCombo> grid;
+std::vector<verify::SweepCombo> paragon4x4_grid() {
+  std::vector<verify::SweepCombo> grid;
   const machine::MachineConfig machine = machine::paragon(4, 4);
   for (const stop::AlgorithmPtr& alg : stop::all_algorithms())
     for (const dist::Kind kind : dist::all_kinds())
@@ -36,20 +36,20 @@ std::vector<analyze::SweepCombo> paragon4x4_grid() {
   return grid;
 }
 
-std::string sweep_text(const std::vector<analyze::SweepCombo>& grid,
-                       int jobs, const analyze::SweepOptions& sopt = {}) {
-  std::vector<analyze::ComboResult> results(grid.size());
+std::string sweep_text(const std::vector<verify::SweepCombo>& grid,
+                       int jobs, const verify::SweepOptions& sopt = {}) {
+  std::vector<verify::ComboResult> results(grid.size());
   const bench::SweepRunner runner(jobs);
   runner.run(grid.size(), [&](std::size_t i) {
-    results[i] = analyze::analyze_combo(grid[i], sopt);
+    results[i] = verify::check_combo(grid[i], sopt);
   });
   std::string text;
-  for (const analyze::ComboResult& r : results) text += r.text;
+  for (const verify::ComboResult& r : results) text += r.text;
   return text;
 }
 
 TEST(ConcurrentSweep, ParallelByteIdenticalToSerial) {
-  const std::vector<analyze::SweepCombo> grid = paragon4x4_grid();
+  const std::vector<verify::SweepCombo> grid = paragon4x4_grid();
   ASSERT_GT(grid.size(), 100u);
   const std::string serial = sweep_text(grid, 1);
   EXPECT_EQ(sweep_text(grid, 2), serial);
@@ -61,14 +61,35 @@ TEST(ConcurrentSweep, FaultedSweepByteIdenticalToSerial) {
   // faulted sweep must stay byte-identical across job counts — each combo
   // builds its own plan and no worker order can leak into the decisions.
   // Under TSan this also races the fault plan sharing inside one combo.
-  const std::vector<analyze::SweepCombo> grid = paragon4x4_grid();
-  analyze::SweepOptions sopt;
+  const std::vector<verify::SweepCombo> grid = paragon4x4_grid();
+  verify::SweepOptions sopt;
   sopt.faults =
       fault::FaultSpec::parse("drop=0.1,dup=0.05,links=0.25x4,straggle=1x3");
   sopt.fault_seed = 42;
   const std::string serial = sweep_text(grid, 1, sopt);
   EXPECT_NE(serial, sweep_text(grid, 1));  // the faults really did bite
   EXPECT_EQ(sweep_text(grid, 4, sopt), serial);
+}
+
+TEST(ConcurrentSweep, CertifySweepByteIdenticalToSerial) {
+  // The model checker on several threads at once: every algorithm x
+  // distribution certified, plus the seeded mutants of one distribution.
+  const std::vector<verify::SweepCombo> grid = paragon4x4_grid();
+  verify::SweepOptions sopt;
+  sopt.certify = true;
+  const std::string serial = sweep_text(grid, 1, sopt);
+  EXPECT_NE(serial.find("certified"), std::string::npos);
+  EXPECT_EQ(sweep_text(grid, 4, sopt), serial);
+
+  std::vector<verify::SweepCombo> row;
+  for (const verify::SweepCombo& c : grid)
+    if (c.kind == dist::Kind::kRow) row.push_back(c);
+  sopt.mutations = {analyze::Mutation::kDropSend,
+                    analyze::Mutation::kTagMismatch,
+                    analyze::Mutation::kCyclicWait};
+  const std::string mutants = sweep_text(row, 1, sopt);
+  EXPECT_NE(mutants.find("rejected"), std::string::npos);
+  EXPECT_EQ(sweep_text(row, 4, sopt), mutants);
 }
 
 TEST(SweepRunner, VisitsEveryIndexExactlyOnce) {

@@ -14,6 +14,7 @@
 #include "machine/config.h"
 #include "mp/mailbox.h"
 #include "mp/schedule.h"
+#include "schedule_fixtures.h"
 #include "stop/algorithm.h"
 #include "stop/problem.h"
 #include "verify/explore.h"
@@ -27,53 +28,10 @@
 namespace spb::verify {
 namespace {
 
-struct Recorded {
-  stop::Problem pb;
-  mp::Schedule schedule;
-};
-
-const Recorded& recorded_two_step() {
-  static const Recorded r = [] {
-    const stop::AlgorithmPtr alg = stop::find_algorithm("2-Step");
-    stop::Problem pb = stop::make_problem(machine::paragon(4, 4),
-                                          dist::Kind::kRow, 4, 2048);
-    analyze::RecordedRun run = analyze::record_run(*alg, pb);
-    SPB_CHECK_MSG(run.completed, run.failure);
-    return Recorded{std::move(pb), std::move(run.schedule)};
-  }();
-  return r;
-}
-
-mp::ScheduleOp send_op(int id, Rank from, Rank to, int tag, int match) {
-  mp::ScheduleOp op;
-  op.kind = mp::ScheduleOp::Kind::kSend;
-  op.id = id;
-  op.rank = from;
-  op.peer = to;
-  op.tag = tag;
-  op.wire_bytes = 1024;
-  op.chunk_sources = {from};
-  op.payload_bytes = 1000;
-  op.match = match;
-  return op;
-}
-
-mp::ScheduleOp recv_op(int id, Rank at, Rank peer, int tag, int match) {
-  mp::ScheduleOp op;
-  op.kind = mp::ScheduleOp::Kind::kRecv;
-  op.id = id;
-  op.rank = at;
-  op.peer = peer;
-  op.tag = tag;
-  op.wire_bytes = match >= 0 ? 1024 : 0;
-  op.match = match;
-  op.completed = match >= 0;
-  if (match >= 0) {
-    op.chunk_sources = {};
-    op.payload_bytes = 1000;
-  }
-  return op;
-}
+using fixtures::Recorded;
+using fixtures::recorded_two_step;
+using fixtures::recv_op;
+using fixtures::send_op;
 
 bool has_match_issue(const MatchCheck& c, MatchIssue::Kind k) {
   return std::any_of(c.issues.begin(), c.issues.end(),
@@ -150,7 +108,7 @@ TEST(MatchGraph, UnconsumedSendAndUnmatchedRecvAreBothFlagged) {
 TEST(WaitForGraph, CleanRecordingIsAcyclicWithPositiveDepth) {
   const DeadlockCheck d = check_deadlock_free(recorded_two_step().schedule);
   EXPECT_TRUE(d.ok()) << d.message;
-  EXPECT_GT(d.critical_depth, 0);
+  EXPECT_GT(d.op_chain_depth, 0);
 }
 
 TEST(WaitForGraph, CyclicWaitMutantYieldsACycle) {

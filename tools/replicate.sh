@@ -44,7 +44,7 @@ for b in build/bench/*; do
 done
 
 if [ "$bench_status" -eq 0 ]; then
-  ./build/tools/analyze_schedule --jobs "$jobs" || bench_status=1
+  ./build/tools/spb_check --jobs "$jobs" || bench_status=1
 fi
 
 echo

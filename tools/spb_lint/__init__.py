@@ -1,7 +1,8 @@
 """spb_lint — determinism lint for the S-to-P broadcasting codebase.
 
-Source-level invariants that keep simulated runs bit-reproducible and the
-road to intra-run parallelism safe (see DESIGN.md §11).  Six rules:
+Source-level invariants that keep simulated runs bit-reproducible, the
+road to intra-run parallelism safe and coroutines alive (see DESIGN.md
+§11).  Eight rules:
 
 U1 unordered-iteration   Range-for over a std::unordered_map/unordered_set
                          variable.  Iteration order is unspecified and
@@ -38,6 +39,18 @@ U6 registry-catalogue    Every machine-registry entry
                          string literals — `--machine list`, the usage
                          grammar and the unknown-spec error are generated
                          from them.
+U7 capturing-coroutine-  A capturing lambda whose body uses co_await /
+   lambda                co_return / co_yield.  The captures live in the
+                         closure object, not the coroutine frame, and
+                         program factories build sim::Task values from
+                         temporary lambdas, so every capture dangles after
+                         the first suspension.  Call a free coroutine
+                         function from a non-coroutine lambda instead.
+U8 discarded-task        A call of a function declared as returning
+                         sim::Task used as a bare statement.  It creates a
+                         suspended coroutine and destroys it at the
+                         semicolon, so the task silently never runs;
+                         co_await it, spawn() it on a Runtime, or store it.
 
 Suppress a finding by putting NOLINT (with a rationale) on the line.
 

@@ -42,6 +42,17 @@ BENIGN_STATE = re.compile(
 REGISTRY_ENTRY_FIELDS = ("pattern", "description", "example", "prefix")
 REGISTRY_PUSH = re.compile(r"entries_\.push_back\s*\(\s*\{")
 NONEMPTY_LITERAL = re.compile(r'"(?:[^"\\\n]|\\.)+"')
+# Coroutine pitfalls (rules U7, U8): functions declared as returning
+# sim::Task, lambda introducers up to the body's `{`, and the keywords that
+# make a body a coroutine.
+TASK_DECL = re.compile(r"\bsim::Task\s+(\w+)\s*\(")
+LAMBDA_INTRO = re.compile(r"\[([^\[\]]*)\]\s*(?:\([^)]*\)\s*)?"
+                          r"(?:mutable\s*)?(?:->\s*[\w:]+\s*)?\{")
+CO_KEYWORD = re.compile(r"\bco_(?:await|return|yield)\b")
+# What may precede a Task call at the start of a line without discarding
+# it: the call is awaited, returned, assigned, spawned or declared.
+TASK_CONSUMER = re.compile(
+    r"(co_await|co_return|return|=|\bspawn\b|sim::Task|\bTask\b)\s*$")
 
 
 def strip_comments(text: str) -> str:
@@ -86,24 +97,11 @@ def _suppressed(raw: str, text: str, idx: int) -> bool:
     return "NOLINT" in raw[start:end]
 
 
-def _matching_angle(text: str, open_idx: int) -> int:
-    """Index just past the `>` closing the `<` at open_idx."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "<":
-            depth += 1
-        elif text[i] == ">":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(text)
-
-
 def unordered_variables(text: str) -> set[str]:
     """Names of variables/members declared with an unordered container."""
     names = set()
     for m in UNORDERED_DECL.finditer(text):
-        close = _matching_angle(text, m.end() - 1)
+        close = _matching_close(text, m.end() - 1, "<>")
         decl = re.match(r"\s*&?\s*(\w+)\s*[;={(]", text[close:])
         if decl:
             names.add(decl.group(1))
@@ -225,17 +223,22 @@ def check_mutable_static_state(path: Path, raw: str, text: str) -> list[str]:
     return findings
 
 
-def _matching_brace(text: str, open_idx: int) -> int:
-    """Index just past the `}` closing the `{` at open_idx."""
+def _matching_close(text: str, open_idx: int, pair: str) -> int:
+    """Index just past the bracket closing the `pair[0]` at open_idx."""
     depth = 0
     for i in range(open_idx, len(text)):
-        if text[i] == "{":
+        if text[i] == pair[0]:
             depth += 1
-        elif text[i] == "}":
+        elif text[i] == pair[1]:
             depth -= 1
             if depth == 0:
                 return i + 1
     return len(text)
+
+
+def _matching_brace(text: str, open_idx: int) -> int:
+    """Index just past the `}` closing the `{` at open_idx."""
+    return _matching_close(text, open_idx, "{}")
 
 
 def check_registry_catalogue(path: Path, raw: str, text: str) -> list[str]:
@@ -287,6 +290,66 @@ def check_registry_catalogue(path: Path, raw: str, text: str) -> list[str]:
     return findings
 
 
+def check_coroutine_lambdas(path: Path, raw: str, text: str) -> list[str]:
+    """U7: a capturing lambda whose body is a coroutine.
+
+    The captures live in the closure object, not in the coroutine frame;
+    program factories build sim::Task values from temporary lambdas, so
+    every capture dangles after the first suspension.  The safe idiom is a
+    non-coroutine lambda that calls a free coroutine function.
+    """
+    findings = []
+    for m in LAMBDA_INTRO.finditer(text):
+        captures = m.group(1).strip()
+        if not captures or _suppressed(raw, text, m.start()):
+            continue
+        body_open = m.end() - 1
+        if CO_KEYWORD.search(text, body_open, _matching_brace(text, body_open)):
+            findings.append(
+                f"{path}:{line_of(text, m.start())}: "
+                f"[capturing-coroutine-lambda] capturing coroutine lambda "
+                f"[{captures}] — captures outlive only the closure, not the "
+                f"coroutine frame; call a free coroutine function instead")
+    return findings
+
+
+def task_functions(files_text: dict[Path, str]) -> set[str]:
+    """Names of every function declared as returning sim::Task."""
+    names = set()
+    for text in files_text.values():
+        names.update(TASK_DECL.findall(text))
+    # Task member/utility names that are not coroutine factories.
+    return names - {"Task", "get_return_object"}
+
+
+def check_discarded_tasks(path: Path, raw: str, text: str,
+                          tasks: set[str]) -> list[str]:
+    """U8: a sim::Task-returning call used as a bare statement.
+
+    The call creates a suspended coroutine and destroys it at the
+    semicolon: the task silently never runs.  Tasks must be co_await-ed,
+    spawned on a Runtime, or stored.
+    """
+    findings = []
+    for name in sorted(tasks):
+        for m in re.finditer(rf"(^|[;{{}}])\s*(?P<call>(?:\w+::)?{name}\s*\()",
+                             text, re.M):
+            start = m.start("call")
+            if TASK_CONSUMER.search(text[max(0, start - 80):start].strip()):
+                continue
+            # Only a call closed by `;` is a statement; anything else is a
+            # sub-expression of something that uses the task.
+            close = _matching_close(text, text.index("(", start), "()")
+            if text[close:close + 1] != ";" or _suppressed(raw, text, start):
+                continue
+            findings.append(
+                f"{path}:{line_of(text, start)}: [discarded-task] result of "
+                f"coroutine '{name}(...)' is discarded — the task is "
+                f"destroyed before it ever runs; co_await it, spawn() it, "
+                f"or store it")
+    return findings
+
+
 def check_flag_static_asserts(files_text: dict[Path, str]) -> list[str]:
     """U4: each zero-cost feature flag has a default-off static_assert."""
     corpus = "\n".join(files_text.values())
@@ -321,6 +384,7 @@ def run(roots: list[str]) -> tuple[list[str], int]:
     files = collect_files(roots)
     raws = {f: f.read_text(encoding="utf-8", errors="replace") for f in files}
     texts = {f: strip_comments(raws[f]) for f in files}
+    tasks = task_functions(texts)
     findings = []
     for f in files:
         findings.extend(check_unordered_iteration(f, raws[f], texts[f]))
@@ -328,6 +392,8 @@ def run(roots: list[str]) -> tuple[list[str], int]:
         findings.extend(check_guard_across_suspend(f, raws[f], texts[f]))
         findings.extend(check_mutable_static_state(f, raws[f], texts[f]))
         findings.extend(check_registry_catalogue(f, raws[f], texts[f]))
+        findings.extend(check_coroutine_lambdas(f, raws[f], texts[f]))
+        findings.extend(check_discarded_tasks(f, raws[f], texts[f], tasks))
     findings.extend(check_flag_static_asserts(texts))
     return findings, len(files)
 

@@ -20,11 +20,14 @@ def lint_snippet(body: str, rel: str = "src/coll/x.cpp") -> list[str]:
         path.write_text(body, encoding="utf-8")
         raw = body
         text = rules.strip_comments(raw)
+        tasks = rules.task_functions({path: text})
         return (rules.check_unordered_iteration(path, raw, text)
                 + rules.check_banned_randomness(path, raw, text)
                 + rules.check_guard_across_suspend(path, raw, text)
                 + rules.check_mutable_static_state(path, raw, text)
-                + rules.check_registry_catalogue(path, raw, text))
+                + rules.check_registry_catalogue(path, raw, text)
+                + rules.check_coroutine_lambdas(path, raw, text)
+                + rules.check_discarded_tasks(path, raw, text, tasks))
 
 
 class UnorderedIteration(unittest.TestCase):
@@ -314,6 +317,59 @@ class RegistryCatalogue(unittest.TestCase):
         self.assertEqual(findings, [])
 
 
+class CapturingCoroutineLambda(unittest.TestCase):
+    def test_capturing_coroutine_lambda_is_flagged(self):
+        findings = lint_snippet(
+            "auto make = [this, rank]() -> sim::Task {\n"
+            "  co_await mailbox.recv();\n"
+            "};\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("capturing-coroutine-lambda", findings[0])
+
+    def test_non_coroutine_capturing_lambda_is_fine(self):
+        findings = lint_snippet(
+            "auto make = [this, rank]() { return run(rank); };\n")
+        self.assertEqual(findings, [])
+
+    def test_captureless_coroutine_lambda_is_fine(self):
+        findings = lint_snippet(
+            "auto make = []() -> sim::Task { co_return; };\n")
+        self.assertEqual(findings, [])
+
+    def test_co_keyword_in_comment_does_not_count(self):
+        findings = lint_snippet(
+            "auto make = [this]() { /* co_await later */ return 1; };\n")
+        self.assertEqual(findings, [])
+
+
+class DiscardedTask(unittest.TestCase):
+    def test_bare_statement_call_is_flagged(self):
+        findings = lint_snippet(
+            "sim::Task worker(int rank);\n"
+            "void f() { worker(3); }\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("discarded", findings[0])
+        self.assertIn("worker", findings[0])
+
+    def test_awaited_call_is_fine(self):
+        findings = lint_snippet(
+            "sim::Task worker(int rank);\n"
+            "sim::Task f() { co_await worker(3); }\n")
+        self.assertEqual(findings, [])
+
+    def test_stored_call_is_fine(self):
+        findings = lint_snippet(
+            "sim::Task worker(int rank);\n"
+            "void f() { auto t = worker(3); rt.spawn(std::move(t)); }\n")
+        self.assertEqual(findings, [])
+
+    def test_call_as_argument_is_fine(self):
+        findings = lint_snippet(
+            "sim::Task worker(int rank);\n"
+            "void f() { rt.spawn(worker(3)); }\n")
+        self.assertEqual(findings, [])
+
+
 class MainEntry(unittest.TestCase):
     def test_clean_tree_exits_zero(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -326,6 +382,20 @@ class MainEntry(unittest.TestCase):
             sim.mkdir(parents=True)
             (sim / "a.cpp").write_text(
                 FlagStaticAsserts.COVERED + "int f() { return rand(); }\n")
+            self.assertEqual(rules.main(["spb_lint", tmp]), 1)
+
+    def test_awaited_task_tree_exits_zero(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "a.cpp").write_text(
+                FlagStaticAsserts.COVERED + "sim::Task worker();\n"
+                "sim::Task f() { co_await worker(); }\n")
+            self.assertEqual(rules.main(["spb_lint", tmp]), 0)
+
+    def test_discarded_task_exits_one(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "a.cpp").write_text(
+                FlagStaticAsserts.COVERED + "sim::Task worker();\n"
+                "void f() { worker(); }\n")
             self.assertEqual(rules.main(["spb_lint", tmp]), 1)
 
     def test_no_arguments_is_a_usage_error(self):

@@ -37,7 +37,7 @@ struct Options {
   std::string machine = "paragon8x8";
   std::string dist = "R";
   std::string algo = "2-Step";
-  int sources = 0;  // 0 = p/4 (at least 2), like analyze_schedule
+  int sources = 0;  // 0 = p/4 (at least 2), like spb_check
   Bytes len = 2048;
   std::uint64_t seed = 1;
   std::string faults_text;

@@ -1,28 +1,35 @@
 #!/usr/bin/env python3
-"""Numeric flags of the spb CLIs: bad values exit 2 naming the flag.
+"""Flags of the spb CLIs: bad values exit 2 naming the flag.
 
     python3 tools/test_cli_flags.py PATHS...
 
-Each argument is the path of one built CLI (analyze_schedule, spb_plan,
-spb_report, spb_serve, spb_verify); ctest passes them all.  An int-sized
-flag must never narrow a 64-bit value (--sources 4294967298 ran with s = 2)
-or stop at the first junk character (--s 3abc ran with s = 3), negatives
-must be rejected, and a message length above the wire limit of 2^40 bytes
-must be refused instead of wrapping the wire size.
+Each argument is the path of one built CLI (spb_check, spb_plan,
+spb_report, spb_serve); ctest passes them all.  An int-sized flag must
+never narrow a 64-bit value (--sources 4294967298 ran with s = 2) or stop
+at the first junk character (--s 3abc ran with s = 3), negatives must be
+rejected, and a message length above the wire limit of 2^40 bytes must be
+refused instead of wrapping the wire size.  spb_check's two modes share
+one source-count rule and one error rule.
 """
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
 import unittest
 
 BINARIES = {}
 
 
-def run(tool, *args):
+def run_full(tool, *args):
     path = BINARIES[tool]
-    proc = subprocess.run([path, *args], stdin=subprocess.DEVNULL,
+    return subprocess.run([path, *args], stdin=subprocess.DEVNULL,
                           capture_output=True, text=True, timeout=120)
+
+
+def run(tool, *args):
+    proc = run_full(tool, *args)
     return proc.returncode, proc.stderr
 
 
@@ -46,15 +53,18 @@ class CliFlags(unittest.TestCase):
                                 "--demo")
 
     def test_int_flags_parse_strictly(self):
-        for tool in ("analyze_schedule", "spb_verify"):
-            self.expect_usage_error(tool, ["--s", "3abc"], "--s '3abc'")
-            self.expect_usage_error(tool, ["--s", "-5"], "--s '-5'")
-        self.expect_usage_error("spb_verify", ["--random", "-2"],
+        for mode in ([], ["--certify"]):
+            self.expect_usage_error("spb_check", [*mode, "--s", "3abc"],
+                                    "--s '3abc'")
+            self.expect_usage_error("spb_check", [*mode, "--s", "-5"],
+                                    "--s '-5'")
+        self.expect_usage_error("spb_check", ["--random", "-2"],
                                 "--random '-2'")
-        self.expect_usage_error("analyze_schedule", ["--jobs", "2x"],
-                                "--jobs '2x'")
-        self.expect_usage_error("analyze_schedule", ["--bytes", "-1"],
+        self.expect_usage_error("spb_check", ["--jobs", "2x"], "--jobs '2x'")
+        self.expect_usage_error("spb_check", ["--bytes", "-1"],
                                 "--bytes '-1'")
+        self.expect_usage_error("spb_check", ["--bytes", "1099511627777"],
+                                "exceeds the maximum 1099511627776")
 
     def test_len_is_capped_at_the_wire_limit(self):
         for args in (["--len", "18446744073709551615", "--execute"],
@@ -67,6 +77,44 @@ class CliFlags(unittest.TestCase):
                                  "18446744073709551615"],
                                 "exceeds the maximum 1099511627776")
 
+    def test_check_modes_share_the_source_count_rule(self):
+        # s = min(p, --s or max(2, p/4)), and --random draws s from
+        # [min(2, p), p]: one rank and an --s above p run in either mode.
+        for mode in ([], ["--certify"]):
+            for args in (["--machine", "paragon1x1"],
+                         ["--machine", "paragon2x2", "--s", "9"],
+                         ["--machine", "paragon1x1", "--random", "3"]):
+                proc = run_full("spb_check", *mode, *args, "--algo",
+                                "2-Step", "--dist", "R")
+                self.assertEqual(proc.returncode, 0,
+                                 f"{mode + args}: {proc.stdout}{proc.stderr}")
+
+    def test_check_failing_combo_does_not_end_the_sweep(self):
+        # Part_Lin cannot partition one processor: its combo prints a FAIL
+        # line, every later algorithm still runs, and --out is written.
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "certs.json")
+            for mode in ([], ["--certify", "--out", out]):
+                proc = run_full("spb_check", *mode, "--machine", "paragon1x1",
+                                "--s", "1", "--algo", "all", "--dist", "R")
+                self.assertEqual(proc.returncode, 1, proc.stderr)
+                self.assertIn("FAIL paragon1x1  Part_Lin  R", proc.stdout)
+                self.assertIn("Hier_2Step", proc.stdout)
+            with open(out, encoding="utf-8") as f:
+                self.assertEqual(len(json.load(f)), 16)
+
+    def test_certify_rejects_dup_chunk(self):
+        # Chunk algebra is the analyzer's: --certify refuses the mutation
+        # and `all` leaves it out.
+        self.expect_usage_error("spb_check",
+                                ["--certify", "--mutate", "dup-chunk"],
+                                "the analyzer")
+        proc = run_full("spb_check", "--certify", "--machine", "paragon4x4",
+                        "--algo", "2-Step", "--s", "4", "--mutate", "all",
+                        "--expect-rejection")
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        self.assertIn("self-test ok: 3/3", proc.stdout)
+
     def test_oversized_mesh_names_the_spec(self):
         self.expect_usage_error("spb_report",
                                 ["--machine", "paragon46341x46341"],
@@ -76,8 +124,8 @@ class CliFlags(unittest.TestCase):
 def main():
     for path in sys.argv[1:]:
         BINARIES[os.path.basename(path)] = path
-    missing = {"analyze_schedule", "spb_plan", "spb_report", "spb_serve",
-               "spb_verify"} - BINARIES.keys()
+    missing = {"spb_check", "spb_plan", "spb_report",
+               "spb_serve"} - BINARIES.keys()
     if missing:
         print(f"usage: {sys.argv[0]} PATHS... (missing {sorted(missing)})",
               file=sys.stderr)
