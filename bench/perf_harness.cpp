@@ -1,7 +1,7 @@
 // perf_harness — dependency-free perf-regression harness.
 //
-// Times the simulator's hot paths (event queue, payload merge, route
-// walks, one end-to-end run, and the analyzer sweep serial vs parallel)
+// Times the simulator's hot paths (event queue, payload merge and copy,
+// route walks, one end-to-end run, and the analyzer sweep serial vs parallel)
 // with plain steady_clock loops and emits the numbers as JSON.
 // tools/bench_compare.py diffs the output against bench/BENCH_baseline.json
 // with per-metric tolerances; CI runs the quick tier on every push.
@@ -118,6 +118,21 @@ void bench_payload_merge(Metrics& m, double min_ms) {
     m.add("payload_merge_disjoint256_ns",
           steady_merge(mp::Payload::of(lo), mp::Payload::of(hi)));
   }
+}
+
+// One op = copy-construct a 256-chunk payload, then drop the copy (64
+// ops per timed call, so the clock read is amortized).
+void bench_payload_copy(Metrics& m, double min_ms) {
+  constexpr int ops_per_call = 64;
+  std::vector<mp::Chunk> chunks;
+  for (int i = 0; i < 256; ++i) chunks.push_back({i, 64});
+  const mp::Payload p = mp::Payload::of(chunks);
+  m.add("payload_copy256_ns", time_ns_per_op(min_ms, ops_per_call, [&] {
+          for (int i = 0; i < ops_per_call; ++i) {
+            const mp::Payload copy = p;
+            asm volatile("" : : "g"(&copy) : "memory");  // keep the copy
+          }
+        }));
 }
 
 void bench_routes(Metrics& m, double min_ms) {
@@ -271,6 +286,7 @@ int main(int argc, char** argv) {
   Metrics m;
   bench_event_queue(m, min_ms);
   bench_payload_merge(m, min_ms);
+  bench_payload_copy(m, min_ms);
   bench_routes(m, min_ms);
   bench_end_to_end(m, min_ms);
   bench_end_to_end_parallel(m, min_ms);

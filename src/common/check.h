@@ -7,11 +7,22 @@
 //               the simulator is far from instruction-bound).
 // SPB_REQUIRE — precondition check on public API entry points, with a
 //               user-facing message.
+//
+// The message of SPB_CHECK_MSG / SPB_REQUIRE is formatted out of line: the
+// macro hands a `[&](std::ostream&)` formatter to a cold, never-inlined
+// helper, which owns the std::ostringstream.  A stream declared at the
+// call site would sit in the caller's frame — and a coroutine's frame is a
+// heap block holding every local of its body, so each check in a rank
+// program used to park a 376-byte stream there (five in every
+// coll::run_halving frame, 2968 bytes in all, 1088 without them).  The
+// passing path costs one branch.
 #pragma once
 
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace spb {
 
@@ -23,13 +34,23 @@ class CheckError : public std::logic_error {
 
 namespace detail {
 
-[[noreturn]] inline void check_failed(const char* kind, const char* expr,
-                                      const char* file, int line,
-                                      const std::string& msg) {
+[[noreturn, gnu::cold, gnu::noinline]] inline void check_failed(
+    const char* kind, const char* expr, const char* file, int line,
+    std::string_view msg = {}) {
   std::ostringstream os;
   os << kind << " failed: (" << expr << ") at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
   throw CheckError(os.str());
+}
+
+/// check_failed with a message streamed by `format(std::ostream&)`.
+template <typename Format>
+[[noreturn, gnu::cold, gnu::noinline]] void check_failed_fmt(
+    const char* kind, const char* expr, const char* file, int line,
+    const Format& format) {
+  std::ostringstream os;
+  format(static_cast<std::ostream&>(os));
+  check_failed(kind, expr, file, line, os.str());
 }
 
 }  // namespace detail
@@ -38,26 +59,21 @@ namespace detail {
 #define SPB_CHECK(cond)                                                     \
   do {                                                                      \
     if (!(cond))                                                            \
-      ::spb::detail::check_failed("SPB_CHECK", #cond, __FILE__, __LINE__,   \
-                                  "");                                      \
+      ::spb::detail::check_failed("SPB_CHECK", #cond, __FILE__, __LINE__);  \
   } while (0)
 
 #define SPB_CHECK_MSG(cond, msg)                                            \
   do {                                                                      \
-    if (!(cond)) {                                                          \
-      std::ostringstream spb_check_os_;                                     \
-      spb_check_os_ << msg;                                                 \
-      ::spb::detail::check_failed("SPB_CHECK", #cond, __FILE__, __LINE__,   \
-                                  spb_check_os_.str());                     \
-    }                                                                       \
+    if (!(cond))                                                            \
+      ::spb::detail::check_failed_fmt(                                      \
+          "SPB_CHECK", #cond, __FILE__, __LINE__,                           \
+          [&](std::ostream& spb_check_os_) { spb_check_os_ << msg; });      \
   } while (0)
 
 #define SPB_REQUIRE(cond, msg)                                              \
   do {                                                                      \
-    if (!(cond)) {                                                          \
-      std::ostringstream spb_check_os_;                                     \
-      spb_check_os_ << msg;                                                 \
-      ::spb::detail::check_failed("SPB_REQUIRE", #cond, __FILE__, __LINE__, \
-                                  spb_check_os_.str());                     \
-    }                                                                       \
+    if (!(cond))                                                            \
+      ::spb::detail::check_failed_fmt(                                      \
+          "SPB_REQUIRE", #cond, __FILE__, __LINE__,                         \
+          [&](std::ostream& spb_check_os_) { spb_check_os_ << msg; });      \
   } while (0)

@@ -236,18 +236,28 @@ SimTime FaultPlan::backoff_us(int attempt) const {
   return spec_.retransmit_timeout_us * static_cast<double>(1 << capped);
 }
 
+SeededSpec parse_seeded(const std::string& text, const std::string& where,
+                        std::uint64_t default_seed) {
+  SeededSpec out;
+  out.seed = default_seed;
+  out.text = text;
+  const std::size_t colon = text.find(':');
+  if (colon == std::string::npos) {
+    out.spec = FaultSpec::parse(text);
+    return out;
+  }
+  // Strict: std::stoull would wrap a "-1" seed to 2^64-1 silently.
+  out.seed = parse_u64_or_throw(
+      where.empty() ? "fault seed" : "fault seed in " + where,
+      text.substr(0, colon));
+  out.spec = FaultSpec::parse(text.substr(colon + 1));
+  return out;
+}
+
 FaultPlanPtr parse_plan(const std::string& text, int link_space, int ranks,
                         std::uint64_t default_seed) {
-  std::uint64_t seed = default_seed;
-  std::string spec_text = text;
-  const std::size_t colon = text.find(':');
-  if (colon != std::string::npos) {
-    // Strict: std::stoull would wrap a "-1" seed to 2^64-1 silently.
-    seed = parse_u64_or_throw("fault seed", text.substr(0, colon));
-    spec_text = text.substr(colon + 1);
-  }
-  const FaultSpec spec = FaultSpec::parse(spec_text);
-  return std::make_shared<const FaultPlan>(spec, seed, link_space, ranks);
+  const SeededSpec f = parse_seeded(text, {}, default_seed);
+  return std::make_shared<const FaultPlan>(f.spec, f.seed, link_space, ranks);
 }
 
 }  // namespace spb::fault

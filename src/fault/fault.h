@@ -164,8 +164,23 @@ class FaultPlan {
 
 using FaultPlanPtr = std::shared_ptr<const FaultPlan>;
 
-/// Parses the CLI form "seed:spec" (e.g. "42:drop=0.1,links=0.25x4"); a
-/// bare spec without the colon keeps `default_seed`.
+/// A "[SEED:]SPEC" fault argument, split and parsed: the CLIs' --faults
+/// and the serve protocol's "faults" field.
+struct SeededSpec {
+  std::uint64_t seed = 1;
+  FaultSpec spec;
+  /// The argument as given (the plan signature's fault context).
+  std::string text;
+};
+
+/// Parses "[SEED:]SPEC" (e.g. "42:drop=0.1,links=0.25x4"); a bare spec
+/// without the colon keeps `default_seed`.  A bad seed throws CheckError
+/// naming "fault seed in <where>" ("fault seed" when `where` is empty), a
+/// bad spec whatever FaultSpec::parse throws.
+SeededSpec parse_seeded(const std::string& text, const std::string& where = {},
+                        std::uint64_t default_seed = 1);
+
+/// parse_seeded, then the plan for that seed and spec on a machine.
 FaultPlanPtr parse_plan(const std::string& text, int link_space, int ranks,
                         std::uint64_t default_seed = 1);
 

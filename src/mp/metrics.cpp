@@ -102,12 +102,12 @@ double RankMetrics::avg_message_bytes() const {
 }
 
 std::vector<PhaseTotals> PhaseTotals::aggregate(
-    const std::vector<RankMetrics>& ranks,
+    std::span<const RankMetrics* const> ranks,
     const std::vector<std::string>& names) {
   std::vector<PhaseTotals> out(names.size());
   for (std::size_t i = 0; i < names.size(); ++i) out[i].name = names[i];
-  for (const auto& r : ranks) {
-    const auto& phases = r.phases();
+  for (const RankMetrics* r : ranks) {
+    const auto& phases = r->phases();
     for (std::size_t i = 0; i < phases.size() && i < out.size(); ++i) {
       const PhaseCounters& c = phases[i];
       PhaseTotals& t = out[i];
@@ -126,27 +126,27 @@ std::vector<PhaseTotals> PhaseTotals::aggregate(
   return out;
 }
 
-RunMetrics RunMetrics::aggregate(const std::vector<RankMetrics>& ranks) {
+RunMetrics RunMetrics::aggregate(std::span<const RankMetrics* const> ranks) {
   RunMetrics m;
   std::size_t max_iters = 0;
-  for (const auto& r : ranks) {
-    m.total_sends += r.sends();
-    m.total_recvs += r.recvs();
-    m.total_bytes_sent += r.bytes_sent();
-    m.congestion = std::max(m.congestion, r.congestion());
-    m.max_waits = std::max(m.max_waits, r.waits());
-    m.max_send_recv = std::max(m.max_send_recv, r.send_recv_total());
-    m.av_msg_lgth = std::max(m.av_msg_lgth, r.avg_message_bytes());
-    m.transit_drops += r.transit_drops();
-    m.retransmits += r.retransmits();
-    m.duplicates += r.duplicates();
-    max_iters = std::max(max_iters, r.iterations().size());
+  for (const RankMetrics* r : ranks) {
+    m.total_sends += r->sends();
+    m.total_recvs += r->recvs();
+    m.total_bytes_sent += r->bytes_sent();
+    m.congestion = std::max(m.congestion, r->congestion());
+    m.max_waits = std::max(m.max_waits, r->waits());
+    m.max_send_recv = std::max(m.max_send_recv, r->send_recv_total());
+    m.av_msg_lgth = std::max(m.av_msg_lgth, r->avg_message_bytes());
+    m.transit_drops += r->transit_drops();
+    m.retransmits += r->retransmits();
+    m.duplicates += r->duplicates();
+    max_iters = std::max(max_iters, r->iterations().size());
   }
   m.iterations = max_iters;
   if (max_iters > 0) {
     std::uint64_t active_sum = 0;
-    for (const auto& r : ranks)
-      for (const auto& it : r.iterations())
+    for (const RankMetrics* r : ranks)
+      for (const auto& it : r->iterations())
         if (it.active()) ++active_sum;
     m.av_act_proc =
         static_cast<double>(active_sum) / static_cast<double>(max_iters);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,8 +142,9 @@ struct PhaseTotals {
   /// Max over ranks of per-rank phase span (critical-path view).
   SimTime max_span_us = 0;
 
+  /// Sums the ranks' phase tables in place (no RankMetrics copies).
   static std::vector<PhaseTotals> aggregate(
-      const std::vector<RankMetrics>& ranks,
+      std::span<const RankMetrics* const> ranks,
       const std::vector<std::string>& names);
 };
 
@@ -169,7 +171,8 @@ struct RunMetrics {
   std::uint64_t retransmits = 0;
   std::uint64_t duplicates = 0;
 
-  static RunMetrics aggregate(const std::vector<RankMetrics>& ranks);
+  /// Aggregates the ranks in place (no RankMetrics copies).
+  static RunMetrics aggregate(std::span<const RankMetrics* const> ranks);
 };
 
 }  // namespace spb::mp

@@ -39,53 +39,61 @@ bool Payload::has_source(Rank source) const {
       [](const Chunk& a, const Chunk& b) { return a.source < b.source; });
 }
 
-// Merges other.chunks_ into chunks_ in place, reusing existing capacity so
-// a payload that accumulates chunks over several receives settles into one
-// buffer.  Three shapes, fastest first:
+// Merges other.chunks_ into chunks_.  The one sharing check of the merge
+// decides where the result goes: in place when this payload owns its
+// storage alone and it has room (a payload that accumulates chunks over
+// several receives settles into one buffer), otherwise straight into a new
+// block — the detach of a shared block, or growth — which leaves the old
+// storage, and every payload sharing it, untouched.  Three shapes, fastest
+// first:
 //  * disjoint source ranges (the halving algorithms merge contiguous rank
 //    ranges, so nearly every simulated merge lands here): pure append or
-//    prepend-shift, no per-element comparisons;
-//  * result outgrows capacity: one fused validate-and-merge pass into the
-//    replacement buffer (this payload stays untouched until the final
-//    swap, preserving the strong exception guarantee);
-//  * result fits in place: a read-only validate/count pass, then a
-//    backward merge that writes each element exactly once.
+//    prepend, memcpy only, no per-element comparisons;
+//  * new block: one fused validate-and-merge pass into it (this payload
+//    stays untouched until the final move, preserving the strong
+//    exception guarantee);
+//  * in place: a read-only validate/count pass, then a backward merge that
+//    writes each element exactly once.
 void Payload::merge_impl(const Payload& other, bool allow_dup) {
   const std::size_t n = chunks_.size();
   const std::size_t m = other.chunks_.size();
   if (m == 0) return;
   if (n == 0) {
-    chunks_ = other.chunks_;  // copy-assign reuses our capacity
+    chunks_ = other.chunks_;  // reuses storage we own alone, else shares
     total_bytes_ = other.total_bytes_;
     return;
   }
 
+  const bool in_place = n + m <= chunks_.writable_capacity();
   const Chunk* a = chunks_.data();
   const Chunk* b = other.chunks_.data();
 
-  if (a[n - 1].source < b[0].source) {  // append
-    chunks_.reserve(n + m);
-    chunks_.resize_within_capacity(n + m);
-    std::memcpy(chunks_.data() + n, b, m * sizeof(Chunk));
-    total_bytes_ += other.total_bytes_;
-    return;
-  }
-  if (b[m - 1].source < a[0].source) {  // prepend
-    chunks_.reserve(n + m);
-    chunks_.resize_within_capacity(n + m);
-    Chunk* out = chunks_.data();
-    std::memmove(out + m, out, n * sizeof(Chunk));
-    std::memcpy(out, b, m * sizeof(Chunk));
+  const bool append = a[n - 1].source < b[0].source;
+  if (append || b[m - 1].source < a[0].source) {
+    // The result is a then b (append) or b then a (prepend).
+    const std::size_t a_at = append ? 0 : m;
+    const std::size_t b_at = append ? n : 0;
+    if (in_place) {
+      chunks_.resize_within_capacity(n + m);
+      Chunk* out = chunks_.data();
+      if (!append) std::memmove(out + a_at, out, n * sizeof(Chunk));
+      std::memcpy(out + b_at, b, m * sizeof(Chunk));
+    } else {
+      ChunkStore merged = ChunkStore::with_capacity(n + m);
+      merged.resize_within_capacity(n + m);
+      Chunk* out = merged.data();
+      std::memcpy(out + a_at, a, n * sizeof(Chunk));
+      std::memcpy(out + b_at, b, m * sizeof(Chunk));
+      chunks_ = std::move(merged);
+    }
     total_bytes_ += other.total_bytes_;
     return;
   }
 
-  if (n + m > chunks_.capacity()) {
-    // Growing anyway: validate and merge in one forward pass straight into
-    // the replacement buffer.  A CheckError mid-pass discards the
-    // temporary and leaves this payload untouched.
-    SmallVec<Chunk, kInlineChunks> merged;
-    merged.reserve(n + m);
+  if (!in_place) {
+    // Validate and merge in one forward pass straight into the new block.
+    // A CheckError mid-pass discards it and leaves this payload untouched.
+    ChunkStore merged = ChunkStore::with_capacity(n + m);
     merged.resize_within_capacity(n + m);
     Chunk* out = merged.data();
     std::size_t i = 0, j = 0, k = 0;

@@ -13,34 +13,36 @@
 // the same source's data to the same rank twice, which the paper's
 // combining model never does.
 //
-// Storage is a SmallVec with a four-chunk inline buffer (most messages in
-// the halving algorithms carry a handful of chunks), merges happen in
-// place reusing existing capacity, and the total byte count is cached —
-// wire_bytes() is called once per send, which made the O(chunks) sum a
-// measurable cost in large sweeps.
+// Storage is an mp::ChunkStore (mp/chunk_store.h): up to four chunks
+// inline, larger payloads in one reference-counted heap block.  Copying a
+// payload is O(1) whatever its size — the halving executor's per-iteration
+// snapshot, the by-value Comm::send and the pipelined broadcast's
+// per-child copy all share one block — and the first write to a shared
+// block detaches it: merge() writes its result straight into a new block,
+// so a payload never changes under a copy of it.  Merges into storage the
+// payload owns alone run in place and reuse its capacity.  The total byte
+// count is cached: wire_bytes() is called once per send, which made the
+// O(chunks) sum a measurable cost in large sweeps.
+//
+// Thread safety: a Payload is a value; distinct Payload objects may be
+// used from different threads even when they share a block (the count is
+// atomic), one object from two threads at once may not.
 #pragma once
 
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/small_vec.h"
 #include "common/types.h"
+#include "mp/chunk_store.h"
 
 namespace spb::mp {
-
-/// One source's original message.
-struct Chunk {
-  Rank source = kNoRank;
-  Bytes bytes = 0;
-  bool operator==(const Chunk&) const = default;
-};
 
 class Payload {
  public:
   /// Inline chunk capacity: payloads at or below this size never touch the
   /// heap.
-  static constexpr std::size_t kInlineChunks = 4;
+  static constexpr std::size_t kInlineChunks = ChunkStore::kInline;
 
   Payload() = default;
 
@@ -75,7 +77,7 @@ class Payload {
   void merge_dedup(const Payload& other);
 
   /// Removes all chunks (used when a rank forwards its data away during
-  /// repositioning).
+  /// repositioning).  A shared block is let go, never written.
   void clear() {
     chunks_.clear();
     total_bytes_ = 0;
@@ -91,8 +93,12 @@ class Payload {
   void undo_partial_merge(const Chunk* b, std::size_t n, std::size_t m,
                           std::size_t j, std::size_t k);
 
-  SmallVec<Chunk, kInlineChunks> chunks_;  // sorted by source, unique
+  ChunkStore chunks_;  // sorted by source, unique
   Bytes total_bytes_ = 0;
 };
+
+// Payloads travel by value through every send, awaiter and mailbox slot;
+// the sharing header sits in the heap block, not here.
+static_assert(sizeof(Payload) <= 88, "mp::Payload grew");
 
 }  // namespace spb::mp

@@ -779,10 +779,10 @@ RunOutcome Runtime::run() {
   // into the canonical global table only after every span is recorded.
   if (use_par) merge_shard_phases();
 
-  std::vector<RankMetrics> per_rank;
+  std::vector<const RankMetrics*> per_rank;
   per_rank.reserve(static_cast<std::size_t>(p));
   for (Rank r = 0; r < p; ++r)
-    per_rank.push_back(comms_[static_cast<std::size_t>(r)]->metrics_);
+    per_rank.push_back(&comms_[static_cast<std::size_t>(r)]->metrics_);
   out.metrics = RunMetrics::aggregate(per_rank);
   out.phases = PhaseTotals::aggregate(per_rank, phase_names_);
   if (trace_enabled_) trace_.set_phase_names(phase_names_);

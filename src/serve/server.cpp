@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/parse.h"
 #include "dist/distribution.h"
 #include "dist/grid.h"
 #include "fault/fault.h"
@@ -233,23 +232,13 @@ std::string Server::handle_execute(const Job& job, std::uint64_t rid) {
 
   // "[SEED:]SPEC", as in spb_plan --faults; the full text is the signature
   // context, the split parts drive the injected run.
-  fault::FaultSpec spec;
-  std::uint64_t fault_seed = 1;
-  if (!req.faults.empty()) {
-    std::string text = req.faults;
-    const std::size_t colon = text.find(':');
-    if (colon != std::string::npos) {
-      fault_seed = parse_u64_or_throw("fault seed in \"faults\"",
-                                      text.substr(0, colon));
-      text = text.substr(colon + 1);
-    }
-    spec = fault::FaultSpec::parse(text);
-  }
+  const fault::SeededSpec faults =
+      fault::parse_seeded(req.faults, "\"faults\"");
 
   const stop::AlgorithmPtr algorithm = stop::find_algorithm(plan->best());
   const stop::Problem problem = stop::make_problem(mc, sources, req.len);
   const stop::RunResult result = stop::run(
-      *algorithm, problem, stop::RunConfig{}.faults(spec, fault_seed));
+      *algorithm, problem, stop::RunConfig{}.faults(faults.spec, faults.seed));
   std::string text;
   write_execute_response(text, rid, req, algorithm->name(), result);
   return text;

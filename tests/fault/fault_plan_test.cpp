@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 
@@ -209,6 +210,28 @@ TEST(ParsePlan, SeedPrefixAndDefault) {
   const FaultPlanPtr bare = parse_plan("drop=0.1", 10, 4, /*default_seed=*/7);
   EXPECT_EQ(bare->seed(), 7u);
   EXPECT_THROW(parse_plan("nonsense:drop=0.1", 10, 4), CheckError);
+}
+
+TEST(ParsePlan, SeededSpecKeepsSeedSpecAndText) {
+  const SeededSpec f = parse_seeded("42:drop=0.1", "--faults");
+  EXPECT_EQ(f.seed, 42u);
+  EXPECT_DOUBLE_EQ(f.spec.drop_rate, 0.1);
+  EXPECT_EQ(f.text, "42:drop=0.1");
+
+  const SeededSpec bare = parse_seeded("drop=0.1", "--faults", 7);
+  EXPECT_EQ(bare.seed, 7u);
+  EXPECT_EQ(bare.text, "drop=0.1");
+  EXPECT_FALSE(parse_seeded("").spec.any());
+
+  // The CLIs and the serve protocol name where the bad seed came from.
+  try {
+    parse_seeded("x:drop=0.1", "--faults");
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("fault seed in --faults 'x'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -76,7 +76,9 @@ TEST(RunMetrics, AggregatesAcrossRanks) {
   // Rank 2: silent.
   for (auto& r : ranks) r.finalize();
 
-  const RunMetrics m = RunMetrics::aggregate(ranks);
+  std::vector<const RankMetrics*> in_place;
+  for (const RankMetrics& r : ranks) in_place.push_back(&r);
+  const RunMetrics m = RunMetrics::aggregate(in_place);
   EXPECT_EQ(m.total_sends, 3u);
   EXPECT_EQ(m.total_recvs, 3u);
   EXPECT_EQ(m.congestion, 4u);

@@ -1,6 +1,6 @@
 // Seeded fuzz of Payload::merge / merge_dedup against a naive reference
 // model (std::map<source, bytes>).  The production code merges in place
-// over SmallVec storage with a partial-merge rollback path; the reference
+// over ChunkStore storage with a partial-merge rollback path; the reference
 // is too slow for the simulator but obviously correct, so any divergence
 // is a Payload bug.
 #include <gtest/gtest.h>
@@ -59,6 +59,10 @@ TEST(PayloadFuzz, MergeMatchesReferenceModel) {
     const Model mb = draw_model(rng, 8);
     Payload a = to_payload(ma);
     const Payload b = to_payload(mb);
+    // Every other round a copy shares a's storage, so the merge (or its
+    // failure) must detach and leave the copy as it was.
+    const bool shared = round % 2 == 0;
+    const Payload copy = shared ? a : Payload{};
 
     bool overlap = false;
     for (const auto& [source, bytes] : mb) overlap |= ma.contains(source);
@@ -77,6 +81,7 @@ TEST(PayloadFuzz, MergeMatchesReferenceModel) {
       expect_matches(a, ma);
       ++rejected_merges;
     }
+    if (shared) expect_matches(copy, ma);
   }
   // The universe is small enough that both branches run thousands of
   // times; a generator change that starves one would weaken the test.

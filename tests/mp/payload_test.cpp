@@ -3,9 +3,31 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
+#include <new>
 #include <vector>
 
 #include "common/check.h"
+
+// Counts the heap allocations of the calling thread, so the sharing tests
+// can prove that copying a payload allocates nothing.
+namespace {
+thread_local std::size_t allocations_here = 0;
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined free() with a new
+// expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++allocations_here;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace spb::mp {
 namespace {
@@ -203,6 +225,92 @@ TEST(Payload, FailedMergeLeavesPayloadUnchanged) {
   clash[29] = {58, 8};  // duplicates a source in `wide`
   EXPECT_THROW(c.merge(Payload::of(clash)), CheckError);
   EXPECT_EQ(c, wide);
+}
+
+// ---- sharing: copies are O(1), writes detach ----
+
+Payload evens(int n) {
+  std::vector<Chunk> chunks;
+  for (int i = 0; i < n; ++i) chunks.push_back({2 * i, 64 + Bytes(i)});
+  return Payload::of(chunks);
+}
+
+/// The payload's exact bytes: its chunks and its cached total.
+struct Bits {
+  std::vector<Chunk> chunks;
+  Bytes total = 0;
+  explicit Bits(const Payload& p)
+      : chunks(p.chunks().begin(), p.chunks().end()), total(p.total_bytes()) {}
+};
+
+void expect_bits(const Payload& p, const Bits& want) {
+  ASSERT_EQ(p.chunk_count(), want.chunks.size());
+  EXPECT_EQ(std::memcmp(p.chunks().data(), want.chunks.data(),
+                        want.chunks.size() * sizeof(Chunk)),
+            0);
+  EXPECT_EQ(p.total_bytes(), want.total);
+}
+
+TEST(Payload, CopyOfLargePayloadSharesStorageWithoutAllocating) {
+  const Payload p = evens(64);
+  const std::size_t before = allocations_here;
+  const Payload copy = p;  // NOLINT(performance-unnecessary-copy-initialization)
+  Payload assigned;
+  assigned = p;
+  EXPECT_EQ(allocations_here, before);
+  EXPECT_EQ(copy.chunks().data(), p.chunks().data());
+  EXPECT_EQ(assigned.chunks().data(), p.chunks().data());
+  EXPECT_EQ(copy, p);
+  EXPECT_EQ(assigned, p);
+}
+
+TEST(Payload, WritesToOneCopyLeaveTheOtherUnchanged) {
+  // 40 chunks sit in a block of 64, so every write below would fit in
+  // place: only the sharing sends it to a new block.
+  std::vector<Chunk> odd;
+  for (int i = 0; i < 16; ++i) odd.push_back({2 * i + 1, 8});
+  const Payload interleaved = Payload::of(odd);   // general merge
+  const Payload above = Payload::of({{500, 8}});  // append
+  const std::vector<std::pair<const char*, std::function<void(Payload&)>>>
+      writes = {
+          {"merge interleaved", [&](Payload& x) { x.merge(interleaved); }},
+          {"merge append", [&](Payload& x) { x.merge(above); }},
+          {"merge_dedup", [](Payload& x) {
+             x.merge_dedup(Payload::of({{0, 64}, {3, 8}}));  // 0 is shared
+           }},
+          {"clear", [](Payload& x) { x.clear(); }},
+      };
+  for (const auto& [name, write] : writes) {
+    for (const bool write_original : {false, true}) {
+      SCOPED_TRACE(std::string(name) +
+                   (write_original ? " on the original" : " on the copy"));
+      Payload original = evens(40);
+      ASSERT_EQ(original.chunk_capacity(), 64u);
+      Payload copy = original;
+      const Bits want(original);
+      write(write_original ? original : copy);
+      expect_bits(write_original ? copy : original, want);
+      EXPECT_NE(original, copy);
+    }
+  }
+}
+
+TEST(Payload, FailedMergeOnSharedPayloadLeavesBothCopiesUnchanged) {
+  const Payload clash = Payload::of({{1, 8}, {10, 8}});  // 10 is in evens()
+  for (const bool dedup_sizes : {false, true}) {
+    Payload original = evens(40);
+    Payload copy = original;
+    const Bits want(original);
+    if (dedup_sizes) {
+      // Source 10 again, with a conflicting size.
+      EXPECT_THROW(copy.merge_dedup(clash), CheckError);
+    } else {
+      EXPECT_THROW(copy.merge(clash), CheckError);
+    }
+    expect_bits(original, want);
+    expect_bits(copy, want);
+    EXPECT_EQ(copy.chunks().data(), original.chunks().data());
+  }
 }
 
 }  // namespace

@@ -136,16 +136,10 @@ Options parse(int argc, char** argv) {
     } else if (a == "--expect-rejection") {
       o.expect_rejection = true;
     } else if (a == "--faults") {
-      // "[SEED:]SPEC": an optional plan seed, then the comma-separated spec.
-      std::string text = next(i);
-      const std::size_t colon = text.find(':');
-      if (colon != std::string::npos) {
-        s.fault_seed =
-            parse_u64_or_throw("fault seed in --faults ([SEED:]SPEC)",
-                               text.substr(0, colon));
-        text = text.substr(colon + 1);
-      }
-      s.faults = fault::FaultSpec::parse(text);
+      const fault::SeededSpec f =
+          fault::parse_seeded(next(i), "--faults ([SEED:]SPEC)", s.fault_seed);
+      s.faults = f.spec;
+      s.fault_seed = f.seed;
     } else if (a == "--step-slack") {
       s.analysis.max_step_slack =
           parse_double_or_throw("--step-slack", next(i));

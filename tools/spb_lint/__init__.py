@@ -2,7 +2,7 @@
 
 Source-level invariants that keep simulated runs bit-reproducible, the
 road to intra-run parallelism safe and coroutines alive (see DESIGN.md
-§11).  Eight rules:
+§11).  Nine rules:
 
 U1 unordered-iteration   Range-for over a std::unordered_map/unordered_set
                          variable.  Iteration order is unspecified and
@@ -51,6 +51,14 @@ U8 discarded-task        A call of a function declared as returning
                          suspended coroutine and destroys it at the
                          semicolon, so the task silently never runs;
                          co_await it, spawn() it on a Runtime, or store it.
+U9 stream-in-coroutine   A std::ostringstream / istringstream /
+                         stringstream declared in a coroutine body (one
+                         declared to return sim::Task, or one using
+                         co_await / co_yield / co_return itself).  Every
+                         local of a coroutine lives in its heap frame for
+                         the coroutine's whole life, so each stream (376
+                         bytes) bloats every rank program's frame; format
+                         in a plain helper function instead.
 
 Suppress a finding by putting NOLINT (with a rationale) on the line.
 

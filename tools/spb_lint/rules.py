@@ -53,6 +53,17 @@ CO_KEYWORD = re.compile(r"\bco_(?:await|return|yield)\b")
 # it: the call is awaited, returned, assigned, spawned or declared.
 TASK_CONSUMER = re.compile(
     r"(co_await|co_return|return|=|\bspawn\b|sim::Task|\bTask\b)\s*$")
+# Stream objects (rule U9): declared in a coroutine body, one sits in the
+# heap frame for the coroutine's whole life.
+STREAM_DECL = re.compile(
+    r"\b(?:std\s*::\s*)?((?:o|i)?stringstream)\s+(\w+)\s*[;({=]")
+# What may end a function head before its body's `{` after the parameter
+# list: cv/ref qualifiers, specifiers, a trailing return type.
+HEAD_SUFFIX = re.compile(
+    r"(?:\b(?:const|noexcept|override|final|mutable)\b|&&?|"
+    r"->\s*[\w:<>]+(?:\s*[*&])?)\s*$")
+# Words that open a parenthesized block that is not a function body.
+CONTROL_WORDS = {"if", "for", "while", "switch", "catch", "constexpr"}
 
 
 def strip_comments(text: str) -> str:
@@ -350,6 +361,99 @@ def check_discarded_tasks(path: Path, raw: str, text: str,
     return findings
 
 
+def _matching_open(text: str, close_idx: int, pair: str) -> int:
+    """Index of the bracket opening the `pair[1]` at close_idx."""
+    depth = 0
+    for i in range(close_idx, -1, -1):
+        if text[i] == pair[1]:
+            depth += 1
+        elif text[i] == pair[0]:
+            depth -= 1
+            if depth == 0:
+                return i
+    return 0
+
+
+def _function_head(text: str, brace: int) -> str | None:
+    """The declaration head (return type and name, qualifiers and trailing
+    return type, parameters left out) when the `{` at `brace` opens a
+    function or lambda body; None for any other block."""
+    head = text[max(0, brace - 4000):brace].rstrip()
+    suffix = ""
+    while m := HEAD_SUFFIX.search(head):
+        suffix = head[m.start():] + suffix
+        head = head[:m.start()].rstrip()
+    if head.endswith("]"):  # lambda without a parameter list
+        return head[_matching_open(head, len(head) - 1, "[]"):] + suffix
+    if not head.endswith(")"):
+        return None
+    before = head[:_matching_open(head, len(head) - 1, "()")].rstrip()
+    word = re.search(r"(\w+)\s*$", before)
+    if word and word.group(1) in CONTROL_WORDS:
+        return None
+    start = max(before.rfind(c) for c in ";{}") + 1
+    return before[start:] + suffix
+
+
+class _Bodies:
+    """Finds the innermost function or lambda body around a position."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pairs = []  # (open, close) of every brace pair
+        stack = []
+        for i, c in enumerate(text):
+            if c == "{":
+                stack.append(i)
+            elif c == "}" and stack:
+                self.pairs.append((stack.pop(), i))
+        self.heads = {}
+
+    def around(self, idx: int):
+        """(open, close, head) of the innermost body containing idx."""
+        for open_idx, close in sorted(
+                (p for p in self.pairs if p[0] < idx < p[1]), reverse=True):
+            if open_idx not in self.heads:
+                self.heads[open_idx] = _function_head(self.text, open_idx)
+            if self.heads[open_idx] is not None:
+                return open_idx, close, self.heads[open_idx]
+        return None
+
+
+def check_streams_in_coroutines(path: Path, raw: str, text: str) -> list[str]:
+    """U9: a string stream declared in a coroutine body.
+
+    Every local of a coroutine body lives in its heap-allocated frame for
+    the coroutine's whole life, so a std::ostringstream (376 bytes) there
+    bloats each rank program's frame even on the path that never formats.
+    A coroutine is a body declared to return sim::Task (Task) or one that
+    uses co_await / co_yield / co_return itself, not only in a nested
+    lambda.  Format in a plain helper function; SPB_REQUIRE and
+    SPB_CHECK_MSG already format out of line.
+    """
+    decls = [m for m in STREAM_DECL.finditer(text)
+             if not _suppressed(raw, text, m.start())]
+    if not decls:
+        return []
+    bodies = _Bodies(text)
+    findings = []
+    for m in decls:
+        body = bodies.around(m.start())
+        if body is None:
+            continue
+        is_task = re.search(r"\bTask\b", body[2]) is not None
+        suspends = any(bodies.around(k.start()) == body
+                       for k in CO_KEYWORD.finditer(text, body[0], body[1]))
+        if not (is_task or suspends):
+            continue
+        findings.append(
+            f"{path}:{line_of(text, m.start())}: [stream-in-coroutine] "
+            f"std::{m.group(1)} '{m.group(2)}' declared in a coroutine "
+            f"body — it lives in the coroutine's heap frame for the whole "
+            f"run; format in a plain helper function instead")
+    return findings
+
+
 def check_flag_static_asserts(files_text: dict[Path, str]) -> list[str]:
     """U4: each zero-cost feature flag has a default-off static_assert."""
     corpus = "\n".join(files_text.values())
@@ -394,6 +498,7 @@ def run(roots: list[str]) -> tuple[list[str], int]:
         findings.extend(check_registry_catalogue(f, raws[f], texts[f]))
         findings.extend(check_coroutine_lambdas(f, raws[f], texts[f]))
         findings.extend(check_discarded_tasks(f, raws[f], texts[f], tasks))
+        findings.extend(check_streams_in_coroutines(f, raws[f], texts[f]))
     findings.extend(check_flag_static_asserts(texts))
     return findings, len(files)
 

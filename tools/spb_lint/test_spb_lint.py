@@ -27,7 +27,8 @@ def lint_snippet(body: str, rel: str = "src/coll/x.cpp") -> list[str]:
                 + rules.check_mutable_static_state(path, raw, text)
                 + rules.check_registry_catalogue(path, raw, text)
                 + rules.check_coroutine_lambdas(path, raw, text)
-                + rules.check_discarded_tasks(path, raw, text, tasks))
+                + rules.check_discarded_tasks(path, raw, text, tasks)
+                + rules.check_streams_in_coroutines(path, raw, text))
 
 
 class UnorderedIteration(unittest.TestCase):
@@ -370,6 +371,79 @@ class DiscardedTask(unittest.TestCase):
         self.assertEqual(findings, [])
 
 
+class StreamInCoroutine(unittest.TestCase):
+    def test_stream_in_task_function_is_flagged(self):
+        findings = lint_snippet(
+            "sim::Task run(mp::Comm& comm) {\n"
+            "  std::ostringstream os;\n"
+            "  os << comm.rank();\n"
+            "  co_await comm.send(0, data);\n"
+            "}\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("stream-in-coroutine", findings[0])
+        self.assertIn("'os'", findings[0])
+        self.assertIn(":2:", findings[0])
+
+    def test_stream_in_nested_block_of_awaiting_body_is_flagged(self):
+        findings = lint_snippet(
+            "Job step(Queue& q) {\n"
+            "  if (q.empty()) {\n"
+            "    std::stringstream ss;\n"
+            "    log(ss.str());\n"
+            "  }\n"
+            "  co_await q.pop();\n"
+            "}\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("std::stringstream 'ss'", findings[0])
+
+    def test_stream_in_coroutine_lambda_is_flagged(self):
+        findings = lint_snippet(
+            "auto make = []() -> sim::Task {\n"
+            "  std::istringstream in(\"1 2\");\n"
+            "  co_return;\n"
+            "};\n")
+        self.assertEqual(len(findings), 1)
+        self.assertIn("std::istringstream 'in'", findings[0])
+
+    def test_stream_in_plain_function_is_fine(self):
+        findings = lint_snippet(
+            "std::string describe(int rank) {\n"
+            "  std::ostringstream os;\n"
+            "  os << \"rank \" << rank;\n"
+            "  return os.str();\n"
+            "}\n"
+            "sim::Task run(mp::Comm& comm) {\n"
+            "  log(describe(comm.rank()));\n"
+            "  co_await comm.send(0, data);\n"
+            "}\n")
+        self.assertEqual(findings, [])
+
+    def test_stream_beside_a_coroutine_lambda_is_fine(self):
+        # The co_return belongs to the lambda, not to f's body.
+        findings = lint_snippet(
+            "void f(Runtime& rt) {\n"
+            "  std::ostringstream os;\n"
+            "  rt.spawn(0, []() -> sim::Task { co_return; }());\n"
+            "}\n")
+        self.assertEqual(findings, [])
+
+    def test_stream_parameter_and_control_blocks_are_fine(self):
+        findings = lint_snippet(
+            "sim::Task run(std::ostringstream& os) { co_await x; }\n"
+            "void g() { for (int i = 0; i < 2; ++i) {\n"
+            "  std::ostringstream os;\n"
+            "} }\n")
+        self.assertEqual(findings, [])
+
+    def test_nolint_suppresses(self):
+        findings = lint_snippet(
+            "sim::Task run() {\n"
+            "  std::ostringstream os;  // NOLINT: measured, frame is rare\n"
+            "  co_await x;\n"
+            "}\n")
+        self.assertEqual(findings, [])
+
+
 class MainEntry(unittest.TestCase):
     def test_clean_tree_exits_zero(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -396,6 +470,13 @@ class MainEntry(unittest.TestCase):
             (Path(tmp) / "a.cpp").write_text(
                 FlagStaticAsserts.COVERED + "sim::Task worker();\n"
                 "void f() { worker(); }\n")
+            self.assertEqual(rules.main(["spb_lint", tmp]), 1)
+
+    def test_stream_in_coroutine_exits_one(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "a.cpp").write_text(
+                FlagStaticAsserts.COVERED + "sim::Task f() {\n"
+                "  std::ostringstream os;\n  co_await g();\n}\n")
             self.assertEqual(rules.main(["spb_lint", tmp]), 1)
 
     def test_no_arguments_is_a_usage_error(self):

@@ -45,9 +45,7 @@ struct Options {
   int sources = 0;  // 0 = p/4 (at least 2), like spb_report
   Bytes len = 2048;
   std::uint64_t seed = 1;
-  std::string faults_text;
-  fault::FaultSpec faults;
-  std::uint64_t fault_seed = 1;
+  fault::SeededSpec faults;
   bool execute = false;
   int replay = 0;  // > 0 = replay mode with that many requests
   int cache_capacity =
@@ -95,16 +93,8 @@ Options parse(int argc, char** argv) {
     } else if (a == "--seed") {
       o.seed = parse_u64_or_throw("--seed", next(i));
     } else if (a == "--faults") {
-      std::string text = next(i);
-      o.faults_text = text;
-      const std::size_t colon = text.find(':');
-      if (colon != std::string::npos) {
-        o.fault_seed =
-            parse_u64_or_throw("fault seed in --faults ([SEED:]SPEC)",
-                               text.substr(0, colon));
-        text = text.substr(colon + 1);
-      }
-      o.faults = fault::FaultSpec::parse(text);
+      o.faults = fault::parse_seeded(next(i), "--faults ([SEED:]SPEC)",
+                                     o.faults.seed);
     } else if (a == "--execute") {
       o.execute = true;
     } else if (a == "--replay") {
@@ -193,7 +183,7 @@ void run_single(std::ostream& os, const Options& opt,
   plan::ShardedPlanCache cache(static_cast<std::size_t>(opt.cache_capacity),
                               /*shards=*/1);
   const plan::Plan plan = cache.plan(planner, problem.sources, opt.len,
-                                     opt.dist, opt.faults_text);
+                                     opt.dist, opt.faults.text);
 
   if (!opt.execute) {
     write_plan_json(os, machine, opt.dist, s, opt.len, opt.seed, plan);
@@ -203,8 +193,8 @@ void run_single(std::ostream& os, const Options& opt,
   const stop::AlgorithmPtr algorithm = stop::find_algorithm(plan.best());
   const stop::RunResult result = stop::run(
       *algorithm, problem,
-      stop::RunConfig{}.trace().link_stats().faults(opt.faults,
-                                                    opt.fault_seed));
+      stop::RunConfig{}.trace().link_stats().faults(opt.faults.spec,
+                                                    opt.faults.seed));
 
   obs::ReportContext ctx;
   ctx.algorithm = algorithm->name();
@@ -214,7 +204,7 @@ void run_single(std::ostream& os, const Options& opt,
   ctx.message_bytes = opt.len;
   ctx.p = machine.p;
   ctx.seed = opt.seed;
-  ctx.faults = opt.faults_text;
+  ctx.faults = opt.faults.text;
 
   const obs::PlannerSection ps =
       planner_section(plan, /*cache_hit=*/false, cache.stats());
@@ -303,13 +293,13 @@ void run_replay(std::ostream& os, const Options& opt,
         machine, r.kind, r.sources, r.exact_len, r.dist_seed);
     const plan::Plan plan = cache.plan(planner, problem.sources, r.exact_len,
                                        std::string(dist::kind_name(r.kind)),
-                                       opt.faults_text);
+                                       opt.faults.text);
     ++picks[plan.best()];
     if (opt.execute) {
       const stop::AlgorithmPtr algorithm = stop::find_algorithm(plan.best());
       const stop::RunResult result = stop::run(
           *algorithm, problem,
-          stop::RunConfig{}.faults(opt.faults, opt.fault_seed));
+          stop::RunConfig{}.faults(opt.faults.spec, opt.faults.seed));
       executed_us += result.time_us;
       ++executed_runs;
     }

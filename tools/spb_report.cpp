@@ -40,9 +40,7 @@ struct Options {
   int sources = 0;  // 0 = p/4 (at least 2), like spb_check
   Bytes len = 2048;
   std::uint64_t seed = 1;
-  std::string faults_text;
-  fault::FaultSpec faults;
-  std::uint64_t fault_seed = 1;
+  fault::SeededSpec faults;
   std::string out;           // report path ("" = stdout)
   std::string chrome_trace;  // "" = no export
   bool heatmap = false;
@@ -97,16 +95,8 @@ Options parse(int argc, char** argv) {
     } else if (a == "--seed") {
       o.seed = parse_u64_or_throw("--seed", next(i));
     } else if (a == "--faults") {
-      std::string text = next(i);
-      o.faults_text = text;
-      const std::size_t colon = text.find(':');
-      if (colon != std::string::npos) {
-        o.fault_seed =
-            parse_u64_or_throw("fault seed in --faults ([SEED:]SPEC)",
-                               text.substr(0, colon));
-        text = text.substr(colon + 1);
-      }
-      o.faults = fault::FaultSpec::parse(text);
+      o.faults = fault::parse_seeded(next(i), "--faults ([SEED:]SPEC)",
+                                     o.faults.seed);
     } else if (a == "--sim-threads") {
       const std::string v = next(i);
       if (v == "-1") {
@@ -158,7 +148,7 @@ int run_cli(int argc, char** argv) {
               "--chrome-trace needs the serial loop's tracing; drop "
               "--sim-threads or the trace export");
   stop::RunConfig cfg;
-  cfg.link_stats().faults(opt.faults, opt.fault_seed);
+  cfg.link_stats().faults(opt.faults.spec, opt.faults.seed);
   if (opt.sim_threads != 0) {
     cfg.sim_threads(opt.sim_threads);
   } else {
@@ -174,7 +164,7 @@ int run_cli(int argc, char** argv) {
   ctx.message_bytes = opt.len;
   ctx.p = machine.p;
   ctx.seed = opt.seed;
-  ctx.faults = opt.faults_text;
+  ctx.faults = opt.faults.text;
 
   if (opt.out.empty()) {
     obs::write_run_report(std::cout, ctx, result, machine.topology.get());

@@ -9,7 +9,8 @@ never narrow a 64-bit value (--sources 4294967298 ran with s = 2) or stop
 at the first junk character (--s 3abc ran with s = 3), negatives must be
 rejected, and a message length above the wire limit of 2^40 bytes must be
 refused instead of wrapping the wire size.  spb_check's two modes share
-one source-count rule and one error rule.
+one source-count rule and one error rule, and the three simulating CLIs
+one --faults parser.
 """
 
 import json
@@ -114,6 +115,17 @@ class CliFlags(unittest.TestCase):
                         "--expect-rejection")
         self.assertEqual(proc.returncode, 0, proc.stdout)
         self.assertIn("self-test ok: 3/3", proc.stdout)
+
+    def test_faults_seed_is_parsed_one_way(self):
+        # spb_check, spb_plan and spb_report parse --faults [SEED:]SPEC
+        # with one fault:: helper: a bad seed exits 2 with the same text.
+        messages = set()
+        for tool in ("spb_check", "spb_plan", "spb_report"):
+            code, err = run(tool, "--faults", "x:drop=0.1")
+            self.assertEqual(code, 2, f"{tool}: {err}")
+            self.assertIn("fault seed in --faults ([SEED:]SPEC) 'x'", err)
+            messages.add(err.removeprefix(f"{tool}: "))
+        self.assertEqual(len(messages), 1, messages)
 
     def test_oversized_mesh_names_the_spec(self):
         self.expect_usage_error("spb_report",
