@@ -1,8 +1,9 @@
 // perf_harness — dependency-free perf-regression harness.
 //
 // Times the simulator's hot paths (event queue, payload merge and copy,
-// route walks, one end-to-end run, and the analyzer sweep serial vs parallel)
-// with plain steady_clock loops and emits the numbers as JSON.
+// route walks, the runtime's message path, one end-to-end run, and the
+// analyzer sweep serial vs parallel) with plain steady_clock loops and emits
+// the numbers as JSON.
 // tools/bench_compare.py diffs the output against bench/BENCH_baseline.json
 // with per-metric tolerances; CI runs the quick tier on every push.
 //
@@ -19,6 +20,7 @@
 #include "dist/distribution.h"
 #include "machine/config.h"
 #include "mp/payload.h"
+#include "mp/runtime.h"
 #include "net/topology.h"
 #include "options.h"
 #include "sim/event_queue.h"
@@ -168,6 +170,34 @@ void bench_routes(Metrics& m, double min_ms) {
   }
 }
 
+sim::Task ping(mp::Comm& comm, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await comm.send(1, mp::Payload::original(0, 64));
+    static_cast<void>(co_await comm.recv(1));
+  }
+}
+
+sim::Task pong(mp::Comm& comm, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    static_cast<void>(co_await comm.recv(0));
+    co_await comm.send(0, mp::Payload::original(1, 64));
+  }
+}
+
+// One op = one message of a two-rank ping-pong through mp::Runtime on a
+// 1x2 Paragon: the send with its reserve, the delivery and the receive,
+// three events in all.  Runtime set-up is amortized over 8192 messages.
+void bench_message_path(Metrics& m, double min_ms) {
+  constexpr int rounds = 4096;
+  const machine::MachineConfig machine = machine::paragon(1, 2);
+  m.add("message_pingpong_ns", time_ns_per_op(min_ms, 2 * rounds, [&] {
+          mp::Runtime rt = machine.make_runtime(false);
+          rt.spawn(0, ping(rt.comm(0), rounds));
+          rt.spawn(1, pong(rt.comm(1), rounds));
+          rt.run();
+        }));
+}
+
 void bench_end_to_end(Metrics& m, double min_ms) {
   const auto machine = machine::paragon(10, 10);
   const auto alg = stop::make_br_lin();
@@ -288,6 +318,7 @@ int main(int argc, char** argv) {
   bench_payload_merge(m, min_ms);
   bench_payload_copy(m, min_ms);
   bench_routes(m, min_ms);
+  bench_message_path(m, min_ms);
   bench_end_to_end(m, min_ms);
   bench_end_to_end_parallel(m, min_ms);
   bench_sweep(m, jobs);

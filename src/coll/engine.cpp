@@ -1,5 +1,6 @@
 #include "coll/engine.h"
 
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -23,7 +24,7 @@ sim::Task run_halving(mp::Comm& comm,
 
   if (opts.phase != nullptr) comm.begin_phase(opts.phase);
   for (int iter = 0; iter < sched->iterations(); ++iter) {
-    const auto& actions = sched->actions(iter, my_pos);
+    const std::span<const Action> actions = sched->actions(iter, my_pos);
     if (!actions.empty()) {
       // Sends ship the payload as of the start of the iteration; data
       // merged during this iteration travels in later iterations.

@@ -14,6 +14,12 @@ struct Segment {
   int n = 0;
 };
 
+/// An action emitted for position `pos`, before grouping.
+struct Emitted {
+  int pos;
+  Action act;
+};
+
 }  // namespace
 
 HalvingSchedule HalvingSchedule::compute(
@@ -23,16 +29,21 @@ HalvingSchedule HalvingSchedule::compute(
   s.n_ = static_cast<int>(initially_active.size());
   s.iterations_ = s.n_ > 1 ? ilog2_ceil(s.n_) : 0;
   s.active_.push_back(initially_active);
-  s.acts_.assign(static_cast<std::size_t>(s.iterations_),
-                 std::vector<std::vector<Action>>(
-                     static_cast<std::size_t>(s.n_)));
+  const auto n = static_cast<std::size_t>(s.n_);
+  s.offsets_.reserve(static_cast<std::size_t>(s.iterations_) * n + 1);
 
   std::vector<Segment> segments{{0, s.n_}};
   std::vector<char> active = initially_active;
+  std::vector<Emitted> emitted;
+  // Group starts of the counting sort below, keyed 2 * pos + is_recv.
+  std::vector<std::uint32_t> start(2 * n + 1);
 
   for (int iter = 0; iter < s.iterations_; ++iter) {
     std::vector<char> next = active;
-    auto& iter_acts = s.acts_[static_cast<std::size_t>(iter)];
+    emitted.clear();
+    const auto emit = [&](int pos, Action::Type type, int peer) {
+      emitted.push_back({pos, {type, peer}});
+    };
 
     // Emits the actions for "a talks to b": exchange when both are active,
     // a one-sided transfer when only one is.
@@ -40,20 +51,16 @@ HalvingSchedule HalvingSchedule::compute(
       const bool a_has = active[static_cast<std::size_t>(a)] != 0;
       const bool b_has = active[static_cast<std::size_t>(b)] != 0;
       if (a_has) {
-        iter_acts[static_cast<std::size_t>(a)].push_back(
-            {Action::Type::kSend, b});
-        iter_acts[static_cast<std::size_t>(b)].push_back(
-            {Action::Type::kRecv, a});
+        emit(a, Action::Type::kSend, b);
+        emit(b, Action::Type::kRecv, a);
         if (!b_has) {
           next[static_cast<std::size_t>(b)] = 1;
           s.activation_order_.push_back(b);
         }
       }
       if (b_has) {
-        iter_acts[static_cast<std::size_t>(b)].push_back(
-            {Action::Type::kSend, a});
-        iter_acts[static_cast<std::size_t>(a)].push_back(
-            {Action::Type::kRecv, b});
+        emit(b, Action::Type::kSend, a);
+        emit(a, Action::Type::kRecv, b);
         if (!a_has) {
           next[static_cast<std::size_t>(a)] = 1;
           s.activation_order_.push_back(a);
@@ -64,10 +71,8 @@ HalvingSchedule HalvingSchedule::compute(
     // One-way push a -> b (the odd-segment fix-up).
     const auto push = [&](int a, int b) {
       if (active[static_cast<std::size_t>(a)] == 0) return;
-      iter_acts[static_cast<std::size_t>(a)].push_back(
-          {Action::Type::kSend, b});
-      iter_acts[static_cast<std::size_t>(b)].push_back(
-          {Action::Type::kRecv, a});
+      emit(a, Action::Type::kSend, b);
+      emit(b, Action::Type::kRecv, a);
       if (next[static_cast<std::size_t>(b)] == 0) {
         next[static_cast<std::size_t>(b)] = 1;
         s.activation_order_.push_back(b);
@@ -88,27 +93,39 @@ HalvingSchedule HalvingSchedule::compute(
       children.push_back({seg.lo + h, seg.n - h});
     }
 
-    // Sort receives after sends so the executor's two passes see them in a
-    // stable order (connect/push already append sends before the matching
-    // receives per position, but a position can appear in several pairs).
-    for (auto& actions : iter_acts)
-      std::stable_sort(actions.begin(), actions.end(),
-                       [](const Action& a, const Action& b) {
-                         return a.type == Action::Type::kSend &&
-                                b.type == Action::Type::kRecv;
-                       });
+    // Group the iteration's actions by position, receives after sends, so
+    // the executor's two passes see them in a stable order (connect/push
+    // already emit sends before the matching receives per position, but a
+    // position can appear in several pairs): a stable counting sort on
+    // 2 * pos + is_recv keeps emission order within each group.
+    const auto key = [](const Emitted& e) {
+      return 2 * static_cast<std::size_t>(e.pos) +
+             (e.act.type == Action::Type::kRecv ? 1 : 0);
+    };
+    std::fill(start.begin(), start.end(), 0);
+    for (const Emitted& e : emitted) ++start[key(e) + 1];
+    const auto base = static_cast<std::uint32_t>(s.acts_.size());
+    for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+    for (std::size_t pos = 0; pos < n; ++pos)
+      s.offsets_.push_back(base + start[2 * pos]);
+    s.acts_.resize(s.acts_.size() + emitted.size());
+    for (const Emitted& e : emitted) s.acts_[base + start[key(e)]++] = e.act;
 
     segments = std::move(children);
     active = next;
     s.active_.push_back(active);
   }
+  s.offsets_.push_back(static_cast<std::uint32_t>(s.acts_.size()));
   return s;
 }
 
-const std::vector<Action>& HalvingSchedule::actions(int iter, int pos) const {
+std::span<const Action> HalvingSchedule::actions(int iter, int pos) const {
   SPB_REQUIRE(iter >= 0 && iter < iterations_, "iteration out of range");
   SPB_REQUIRE(pos >= 0 && pos < n_, "position out of range");
-  return acts_[static_cast<std::size_t>(iter)][static_cast<std::size_t>(pos)];
+  const std::size_t k = static_cast<std::size_t>(iter) *
+                            static_cast<std::size_t>(n_) +
+                        static_cast<std::size_t>(pos);
+  return {acts_.data() + offsets_[k], acts_.data() + offsets_[k + 1]};
 }
 
 const std::vector<char>& HalvingSchedule::active_after(int iter) const {

@@ -17,6 +17,8 @@
 // message combining.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -43,7 +45,7 @@ class HalvingSchedule {
   int iterations() const { return iterations_; }
 
   /// Actions of `pos` in `iter`, sends listed before receives.
-  const std::vector<Action>& actions(int iter, int pos) const;
+  std::span<const Action> actions(int iter, int pos) const;
 
   /// Activity flags after `iter` iterations (iter == 0 gives the initial
   /// flags) — used by tests and by the metric analysis.
@@ -68,8 +70,13 @@ class HalvingSchedule {
  private:
   int n_ = 0;
   int iterations_ = 0;
-  /// acts_[iter][pos] — at most one exchange plus one extra send/recv.
-  std::vector<std::vector<std::vector<Action>>> acts_;
+  /// Every action, grouped by (iteration, position) in that order; the
+  /// actions of (iter, pos) are acts_[offsets_[k]] .. acts_[offsets_[k + 1]]
+  /// (exclusive) with k = iter * n + pos — at most one exchange plus one
+  /// extra send/recv each.  One array, so a schedule costs a handful of
+  /// allocations however large it is.
+  std::vector<Action> acts_;
+  std::vector<std::uint32_t> offsets_;
   /// active_[iter][pos]; active_[0] is the initial pattern.
   std::vector<std::vector<char>> active_;
   /// Positions in first-activation order (excluding initially active).

@@ -17,12 +17,23 @@ BcastTree BcastTree::from_halving(int n, int root_pos) {
   BcastTree t;
   t.root = root_pos;
   t.parent.assign(static_cast<std::size_t>(n), -1);
-  t.children.assign(static_cast<std::size_t>(n), {});
+  // Two passes over the schedule: count each position's sends, then file
+  // them, iteration by iteration, into the position's group.
+  t.first_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (int iter = 0; iter < sched.iterations(); ++iter)
+    for (int pos = 0; pos < n; ++pos)
+      for (const Action& a : sched.actions(iter, pos))
+        if (a.type == Action::Type::kSend)
+          ++t.first_[static_cast<std::size_t>(pos) + 1];
+  for (std::size_t pos = 1; pos <= static_cast<std::size_t>(n); ++pos)
+    t.first_[pos] += t.first_[pos - 1];
+  t.kids_.resize(t.first_.back());
+  std::vector<std::size_t> fill(t.first_.begin(), t.first_.end() - 1);
   for (int iter = 0; iter < sched.iterations(); ++iter) {
     for (int pos = 0; pos < n; ++pos) {
       for (const Action& a : sched.actions(iter, pos)) {
         if (a.type == Action::Type::kSend) {
-          t.children[static_cast<std::size_t>(pos)].push_back(a.peer);
+          t.kids_[fill[static_cast<std::size_t>(pos)]++] = a.peer;
         } else {
           SPB_CHECK_MSG(t.parent[static_cast<std::size_t>(pos)] == -1,
                         "position " << pos << " received twice in a single-"
@@ -38,25 +49,24 @@ BcastTree BcastTree::from_halving(int n, int root_pos) {
 BcastTree BcastTree::binary(int n, int root_pos) {
   SPB_REQUIRE(n >= 1, "tree needs at least one position");
   SPB_REQUIRE(root_pos >= 0 && root_pos < n, "root out of range");
-  // Heap-shaped tree over logical indices 0..n-1, then relabel so logical
-  // 0 is the root position (all other positions keep their identity by
-  // swapping with the position that held logical root_pos... simpler: the
-  // logical order is positions rotated so root_pos comes first).
-  const auto pos_of = [n, root_pos](int logical) {
-    return (logical + root_pos) % n;
-  };
+  // Heap-shaped tree over logical indices 0..n-1, with the positions
+  // rotated so logical 0 is the root position: logical j sits at position
+  // (j + root_pos) % n and has the logical children 2j + 1 and 2j + 2.
   BcastTree t;
   t.root = root_pos;
   t.parent.assign(static_cast<std::size_t>(n), -1);
-  t.children.assign(static_cast<std::size_t>(n), {});
-  for (int j = 0; j < n; ++j) {
+  t.first_.reserve(static_cast<std::size_t>(n) + 1);
+  t.kids_.reserve(static_cast<std::size_t>(n) - 1);
+  for (int pos = 0; pos < n; ++pos) {
+    t.first_.push_back(t.kids_.size());
+    const int j = (pos - root_pos + n) % n;
     for (int c = 2 * j + 1; c <= 2 * j + 2 && c < n; ++c) {
-      const int parent_pos = pos_of(j);
-      const int child_pos = pos_of(c);
-      t.children[static_cast<std::size_t>(parent_pos)].push_back(child_pos);
-      t.parent[static_cast<std::size_t>(child_pos)] = parent_pos;
+      const int child_pos = (c + root_pos) % n;
+      t.kids_.push_back(child_pos);
+      t.parent[static_cast<std::size_t>(child_pos)] = pos;
     }
   }
+  t.first_.push_back(t.kids_.size());
   return t;
 }
 
@@ -79,7 +89,7 @@ sim::Task pipelined_bcast(mp::Comm& comm,
   const Bytes seg_wire = static_cast<Bytes>(ceil_div(
       static_cast<std::int64_t>(total_wire), segments));
 
-  const auto& children = tree->children[static_cast<std::size_t>(my_pos)];
+  const std::span<const int> children = tree->children(my_pos);
   const int parent = tree->parent[static_cast<std::size_t>(my_pos)];
   const bool am_root = my_pos == tree->root;
   SPB_CHECK(am_root == (parent == -1));

@@ -12,7 +12,9 @@
 // still sees exactly one delivery per rank.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "coll/halving.h"
@@ -27,8 +29,13 @@ namespace spb::coll {
 /// (earliest halving iteration first, i.e. biggest subtree first).
 struct BcastTree {
   int root = 0;
-  std::vector<int> parent;                 // -1 for the root
-  std::vector<std::vector<int>> children;  // send order per position
+  std::vector<int> parent;  // -1 for the root
+
+  /// Children of `pos` in send order.
+  std::span<const int> children(int pos) const {
+    return {kids_.data() + first_[static_cast<std::size_t>(pos)],
+            kids_.data() + first_[static_cast<std::size_t>(pos) + 1]};
+  }
 
   /// Builds the tree for n positions with the source at position
   /// `root_pos` (the halving pattern the paper's 2-Step broadcast uses).
@@ -39,6 +46,12 @@ struct BcastTree {
   /// Balanced binary tree rooted at `root_pos`: fan-out 2 everywhere, depth
   /// ceil(log2 n) — the shape vendor collectives pipeline through.
   static BcastTree binary(int n, int root_pos);
+
+ private:
+  /// Every position's children in one array, grouped by position: those
+  /// of pos are kids_[first_[pos]] .. kids_[first_[pos + 1]] (exclusive).
+  std::vector<int> kids_;
+  std::vector<std::size_t> first_;
 };
 
 /// Runs position `my_pos` of a pipelined broadcast of `total_wire` bytes in

@@ -1,46 +1,64 @@
 #include "mp/mailbox.h"
 
-#include <utility>
+#include <cstddef>
 
 namespace spb::mp {
 
-void Mailbox::deliver(Message msg) { inbox_.push_back(std::move(msg)); }
+void Mailbox::park(std::uint32_t slot, Rank src, int tag) {
+  // Drop the taken prefix once it is at least half the vector, so a
+  // mailbox that never quite empties stays O(parked) (amortized O(1)).
+  if (head_ != 0 && 2 * head_ >= inbox_.size()) {
+    inbox_.erase(inbox_.begin(),
+                 inbox_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  inbox_.push_back(Parked{src, tag, slot});
+}
 
-std::vector<Message> Mailbox::sequence(Message msg, bool& duplicate) {
+std::optional<std::uint32_t> Mailbox::take(Rank src, int tag) {
+  for (std::size_t i = head_; i < inbox_.size(); ++i) {
+    const Parked& p = inbox_[i];
+    const bool src_ok = src == kAnySource || p.src == src;
+    const bool tag_ok = tag == kAnyTag || p.tag == tag;
+    if (!src_ok || !tag_ok) continue;
+    const std::uint32_t slot = p.slot;
+    if (i == head_) {
+      ++head_;
+    } else {
+      inbox_.erase(inbox_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    if (head_ == inbox_.size()) {
+      inbox_.clear();
+      head_ = 0;
+    }
+    return slot;
+  }
+  return std::nullopt;
+}
+
+std::vector<std::uint32_t> Mailbox::sequence(Rank src, std::uint32_t seq,
+                                             std::uint32_t slot,
+                                             bool& duplicate) {
   duplicate = false;
-  SeqState& st = seq_[msg.src];
-  const auto seq = static_cast<std::uint32_t>(msg.seq);
+  SeqState& st = seq_[src];
   if (seq < st.next || st.held.contains(seq)) {
     duplicate = true;
     return {};
   }
-  std::vector<Message> ready;
+  std::vector<std::uint32_t> ready;
   if (seq != st.next) {
-    st.held.emplace(seq, std::move(msg));  // early: wait for the gap
+    st.held.emplace(seq, slot);  // early: wait for the gap
     return ready;
   }
-  ready.push_back(std::move(msg));
+  ready.push_back(slot);
   ++st.next;
   for (auto it = st.held.find(st.next); it != st.held.end();
        it = st.held.find(st.next)) {
-    ready.push_back(std::move(it->second));
+    ready.push_back(it->second);
     st.held.erase(it);
     ++st.next;
   }
   return ready;
-}
-
-bool Mailbox::try_take(Rank src, int tag, Message& out) {
-  for (auto it = inbox_.begin(); it != inbox_.end(); ++it) {
-    const bool src_ok = src == kAnySource || it->src == src;
-    const bool tag_ok = tag == kAnyTag || it->tag == tag;
-    if (src_ok && tag_ok) {
-      out = std::move(*it);
-      inbox_.erase(it);
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace spb::mp

@@ -63,7 +63,7 @@ Comm::RecvAwaiter Comm::recv(Rank src, int tag) {
               "recv from invalid rank " << src);
   SPB_REQUIRE(src != rank_, "rank " << rank_ << " receiving from itself");
   SPB_REQUIRE(tag == kAnyTag || tag >= 0, "invalid tag " << tag);
-  return RecvAwaiter{this, src, tag, {}};
+  return RecvAwaiter{this, src, tag};
 }
 
 Comm::ComputeAwaiter Comm::compute(double us) {
@@ -115,51 +115,59 @@ void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
   Comm& c = *comm;
   Runtime& rt = *c.rt_;
   const CommParams& cp = rt.params_;
+  const SimTime now = rt.now_us();
+  const Bytes wire = wire_override > 0 ? wire_override : c.wire_bytes(payload);
 
-  Message msg;
-  msg.src = c.rank_;
-  msg.dst = dst;
-  msg.tag = tag;
-  msg.wire_bytes = wire_override > 0 ? wire_override : c.wire_bytes(payload);
-  msg.payload = std::move(payload);
-  msg.sent_at = rt.now_us();
+  const int send_op =
+      rt.schedule_enabled_
+          ? rt.schedule_.record_send(c.rank_, dst, tag, wire,
+                                     chunk_sources_of(payload),
+                                     payload.total_bytes())
+          : -1;
 
-  if (rt.schedule_enabled_) {
-    msg.sched_send_op = rt.schedule_.record_send(
-        c.rank_, dst, tag, msg.wire_bytes, chunk_sources_of(msg.payload),
-        msg.payload.total_bytes());
-  }
-
-  c.metrics_.on_send(msg.wire_bytes, c.current_phase());
+  c.metrics_.on_send(wire, c.current_phase());
 
   // Message faults need a per-(src, dst) sequence number for duplicate
   // suppression; seq_ is only sized when the plan asks for them.
   const bool message_faults = !rt.seq_.empty();
+  std::int32_t seq = -1;
   if (message_faults) {
     std::uint32_t& next =
         rt.seq_[static_cast<std::size_t>(c.rank_) *
                     static_cast<std::size_t>(rt.size()) +
                 static_cast<std::size_t>(dst)];
-    msg.seq = static_cast<std::int32_t>(next++);
+    seq = static_cast<std::int32_t>(next++);
   }
 
   const SimTime ready =
-      rt.now_us() +
-      (cp.send_overhead_us + cp.mpi_extra_us) * rt.slowdown(c.rank_);
+      now + (cp.send_overhead_us + cp.mpi_extra_us) * rt.slowdown(c.rank_);
+
+  // The one write of the message: every field, the payload moved in.
+  const auto write = [&](Message& m, SimTime arrived_at) {
+    m.src = c.rank_;
+    m.dst = dst;
+    m.tag = tag;
+    m.payload = std::move(payload);
+    m.wire_bytes = wire;
+    m.sent_at = now;
+    m.arrived_at = arrived_at;
+    m.sched_send_op = send_op;
+    m.seq = seq;
+    m.duplicate = false;
+  };
 
   if (rt.parallel_active()) {
     // Parallel path: the network model is barrier-only shared state.  Park
     // the message in the shard's staging buffer; the sequencer reserves in
     // canonical order and schedules delivery + sender resume — which the
     // lookahead (ready >= now + window) proves land in a later window.
-    rt.stage_send(std::move(msg), ready, h);
+    write(rt.stage_send(ready, h), 0);
     return;
   }
 
   const net::Transfer t =
       rt.net_.reserve(rt.mapping_.node_of(c.rank_), rt.mapping_.node_of(dst),
-                      msg.wire_bytes, ready);
-  msg.arrived_at = t.arrive;
+                      wire, ready);
 
   if (rt.trace_enabled_) {
     TraceEvent e;
@@ -167,18 +175,18 @@ void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
     e.rank = c.rank_;
     e.peer = dst;
     e.tag = tag;
-    e.wire_bytes = msg.wire_bytes;
-    e.begin_us = rt.sim_.now();
+    e.wire_bytes = wire;
+    e.begin_us = now;
     e.end_us = t.inject_done;
     e.arrive_us = t.arrive;
     e.phase = c.current_phase();
     rt.trace_.record(e);
   }
 
-  // Delivery happens at the arrival time regardless of receiver state.
-  // The message parks in the in-flight pool so this callback stays small
-  // enough for the event queue's inline storage (no per-event allocation).
-  const std::uint32_t slot = rt.stash_inflight(std::move(msg));
+  // The message goes straight into the in-flight pool, and the delivery
+  // event carries only its slot.
+  const std::uint32_t slot = rt.alloc_inflight();
+  write(rt.inflight_[slot], t.arrive);
   if (message_faults) {
     // The fault path decides whether this attempt lands, duplicates or is
     // retransmitted; the sender is released at attempt 0's injection time
@@ -186,12 +194,10 @@ void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
     // stay fault-oblivious).
     rt.after_reserve(slot, 0, t);
   } else {
-    rt.sim_.at(t.arrive, [rtp = &rt, slot]() {
-      rtp->deliver(rtp->unstash_inflight(slot));
-    });
+    rt.sim_.deliver_at(t.arrive, slot);
   }
   // The sender regains control once its injection is complete.
-  rt.sim_.at(t.inject_done, [h]() { h.resume(); });
+  rt.sim_.resume_at(t.inject_done, h);
 }
 
 void Comm::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
@@ -203,14 +209,13 @@ void Comm::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
   if (rt.schedule_enabled_)
     sched_op = rt.schedule_.record_recv_post(c.rank_, src, tag);
 
-  Message msg;
-  if (c.mailbox_.try_take(src, tag, msg)) {
+  if (const std::optional<std::uint32_t> hit = c.mailbox_.take(src, tag)) {
     blocked = false;
-    result = std::move(msg);
-    rt.sched_at_rank(
+    slot = *hit;
+    rt.resume_at_rank(
         called_at +
             (cp.recv_overhead_us + cp.mpi_extra_us) * rt.slowdown(c.rank_),
-        c.rank_, [h]() { h.resume(); });
+        c.rank_, h);
     return;
   }
   blocked = true;
@@ -221,28 +226,30 @@ void Comm::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
 
 Message Comm::RecvAwaiter::await_resume() {
   Comm& c = *comm;
-  if (c.rt_->schedule_enabled_ && sched_op >= 0) {
-    c.rt_->schedule_.record_recv_match(
-        sched_op, result.sched_send_op, result.wire_bytes,
-        chunk_sources_of(result.payload), result.payload.total_bytes());
+  Runtime& rt = *c.rt_;
+  Message m = rt.take_inflight(slot);
+  if (rt.schedule_enabled_ && sched_op >= 0) {
+    rt.schedule_.record_recv_match(sched_op, m.sched_send_op, m.wire_bytes,
+                                   chunk_sources_of(m.payload),
+                                   m.payload.total_bytes());
   }
-  c.metrics_.on_recv(result.wire_bytes, blocked,
-                     blocked ? result.arrived_at - called_at : 0.0,
+  c.metrics_.on_recv(m.wire_bytes, blocked,
+                     blocked ? m.arrived_at - called_at : 0.0,
                      c.current_phase());
-  if (c.rt_->trace_enabled_) {
+  if (rt.trace_enabled_) {
     TraceEvent e;
     e.kind = TraceEvent::Kind::kRecv;
     e.rank = c.rank_;
-    e.peer = result.src;
-    e.tag = result.tag;
-    e.wire_bytes = result.wire_bytes;
+    e.peer = m.src;
+    e.tag = m.tag;
+    e.wire_bytes = m.wire_bytes;
     e.begin_us = called_at;
-    e.end_us = c.rt_->now_us();
+    e.end_us = rt.now_us();
     e.blocked = blocked;
     e.phase = c.current_phase();
-    c.rt_->trace_.record(e);
+    rt.trace_.record(e);
   }
-  return std::move(result);
+  return m;
 }
 
 void Comm::ComputeAwaiter::await_suspend(std::coroutine_handle<> h) {
@@ -259,7 +266,7 @@ void Comm::ComputeAwaiter::await_suspend(std::coroutine_handle<> h) {
     e.phase = comm->current_phase();
     rt.trace_.record(e);
   }
-  rt.sched_at_rank(now + actual, comm->rank_, [h]() { h.resume(); });
+  rt.resume_at_rank(now + actual, comm->rank_, h);
 }
 
 void Comm::MergeAwaiter::await_resume() {
@@ -326,7 +333,7 @@ void Runtime::set_fault_plan(fault::FaultPlanPtr plan) {
   }
 }
 
-std::uint32_t Runtime::stash_inflight(Message msg) {
+std::uint32_t Runtime::alloc_inflight() {
   if (parallel_active()) {
     // Barrier-only under the engine: pool growth must be single-threaded.
     // Scan the per-shard free lists in shard order so slot reuse is
@@ -335,33 +342,36 @@ std::uint32_t Runtime::stash_inflight(Message msg) {
       if (free.empty()) continue;
       const std::uint32_t slot = free.back();
       free.pop_back();
-      inflight_[slot] = std::move(msg);
       return slot;
     }
-    inflight_.push_back(std::move(msg));
-    return static_cast<std::uint32_t>(inflight_.size() - 1);
-  }
-  if (!inflight_free_.empty()) {
+  } else if (!inflight_free_.empty()) {
     const std::uint32_t slot = inflight_free_.back();
     inflight_free_.pop_back();
-    inflight_[slot] = std::move(msg);
     return slot;
   }
-  inflight_.push_back(std::move(msg));
+  inflight_.emplace_back();
   return static_cast<std::uint32_t>(inflight_.size() - 1);
 }
 
-Message Runtime::unstash_inflight(std::uint32_t slot) {
+std::uint32_t Runtime::stash_inflight(Message msg) {
+  const std::uint32_t slot = alloc_inflight();
+  inflight_[slot] = std::move(msg);
+  return slot;
+}
+
+Message Runtime::take_inflight(std::uint32_t slot) {
   Message m = std::move(inflight_[slot]);
+  free_inflight(slot);
+  return m;
+}
+
+void Runtime::free_inflight(std::uint32_t slot) {
   if (parallel_active()) {
-    // Delivery events run inside windows: freeing into the executing
-    // shard's own list keeps the free lists single-writer.
     inflight_free_par_[static_cast<std::size_t>(engine_->current_shard())]
         .push_back(slot);
   } else {
     inflight_free_.push_back(slot);
   }
-  return m;
 }
 
 int Runtime::phase_id(std::string_view name) {
@@ -381,13 +391,16 @@ int Runtime::phase_id(std::string_view name) {
   return static_cast<int>(names.size() - 1);
 }
 
-void Runtime::enable_parallel(int threads) {
+void Runtime::enable_parallel(int threads, int cores) {
   SPB_REQUIRE(!ran_, "enable_parallel() after run()");
   SPB_REQUIRE(threads >= 1 || threads == -1,
               "enable_parallel() needs threads >= 1 or -1 for auto (got "
                   << threads << "); 0 means the serial loop "
                   << "— simply do not call it");
+  SPB_REQUIRE(cores >= 0, "enable_parallel() needs cores >= 0 (got "
+                              << cores << "); 0 means the host's count");
   par_threads_ = threads;
+  par_cores_ = cores;
 }
 
 double Runtime::lookahead_us() const {
@@ -416,17 +429,31 @@ void Runtime::sched_at_rank(SimTime t, Rank r, sim::EventFn fn) {
   }
 }
 
-void Runtime::stage_send(Message msg, SimTime ready,
-                         std::coroutine_handle<> h) {
+void Runtime::resume_at_rank(SimTime t, Rank r, std::coroutine_handle<> h) {
+  if (parallel_active()) {
+    engine_->resume_at(t, shard_of_rank_[static_cast<std::size_t>(r)], h);
+  } else {
+    sim_.resume_at(t, h);
+  }
+}
+
+void Runtime::deliver_at_rank(SimTime t, Rank r, std::uint32_t slot) {
+  if (parallel_active()) {
+    engine_->deliver_at(t, shard_of_rank_[static_cast<std::size_t>(r)], slot);
+  } else {
+    sim_.deliver_at(t, slot);
+  }
+}
+
+Message& Runtime::stage_send(SimTime ready, std::coroutine_handle<> h) {
   const int shard = engine_->current_shard();
-  StagedXfer x;
+  StagedXfer& x = staged_[static_cast<std::size_t>(shard)].emplace_back();
   x.initiate = engine_->now();
   x.ready = ready;
-  x.msg = std::move(msg);
   x.h = h;
   x.kind = StagedXfer::Kind::kSend;
-  staged_[static_cast<std::size_t>(shard)].push_back(std::move(x));
   engine_->note_stage(engine_->now());
+  return x.msg;
 }
 
 void Runtime::sched_retransmit(SimTime t, std::uint32_t slot, int attempt) {
@@ -491,11 +518,9 @@ void Runtime::sequencer_flush() {
       if (!seq_.empty()) {
         after_reserve(slot, 0, t);
       } else {
-        sched_at_rank(t.arrive, dst, [this, slot]() {
-          deliver(unstash_inflight(slot));
-        });
+        deliver_at_rank(t.arrive, dst, slot);
       }
-      sched_at_rank(t.inject_done, src, [h = x.h]() { h.resume(); });
+      resume_at_rank(t.inject_done, src, x.h);
     } else {
       retransmit(x.slot, x.attempt, x.ready);
     }
@@ -579,8 +604,7 @@ void Runtime::after_reserve(std::uint32_t slot, int attempt,
                      attempt + 1);
   }
 
-  sched_at_rank(t.arrive, dst,
-                [this, slot]() { deliver(unstash_inflight(slot)); });
+  deliver_at_rank(t.arrive, dst, slot);
 }
 
 void Runtime::retransmit(std::uint32_t slot, int attempt, SimTime ready) {
@@ -604,39 +628,48 @@ void Runtime::retransmit(std::uint32_t slot, int attempt, SimTime ready) {
   after_reserve(slot, attempt, t);
 }
 
-void Runtime::deliver(Message msg) {
-  if (msg.seq >= 0) {
-    Comm& dst = comm(msg.dst);
-    bool duplicate = false;
-    std::vector<Message> ready =
-        dst.mailbox_.sequence(std::move(msg), duplicate);
-    if (duplicate) dst.metrics_.on_duplicate();
-    for (Message& m : ready) deliver_now(std::move(m));
-    return;
-  }
-  deliver_now(std::move(msg));
+void Runtime::deliver_hook(void* runtime, std::uint32_t slot) {
+  static_cast<Runtime*>(runtime)->deliver(slot);
 }
 
-void Runtime::deliver_now(Message msg) {
-  Comm& dst = comm(msg.dst);
+void Runtime::deliver(std::uint32_t slot) {
+  const Message& m = inflight_[slot];
+  if (m.seq < 0) {
+    hand_over(slot);
+    return;
+  }
+  Comm& dst = comm(m.dst);
+  bool duplicate = false;
+  const std::vector<std::uint32_t> ready = dst.mailbox_.sequence(
+      m.src, static_cast<std::uint32_t>(m.seq), slot, duplicate);
+  if (duplicate) {
+    dst.metrics_.on_duplicate();
+    free_inflight(slot);
+    return;
+  }
+  for (const std::uint32_t s : ready) hand_over(s);
+}
+
+void Runtime::hand_over(std::uint32_t slot) {
+  const Message& m = inflight_[slot];
+  Comm& dst = comm(m.dst);
   if (dst.pending_.has_value()) {
-    auto& p = *dst.pending_;
-    const bool src_ok = p.src == kAnySource || p.src == msg.src;
-    const bool tag_ok = p.tag == kAnyTag || p.tag == msg.tag;
+    const Comm::PendingRecv& p = *dst.pending_;
+    const bool src_ok = p.src == kAnySource || p.src == m.src;
+    const bool tag_ok = p.tag == kAnyTag || p.tag == m.tag;
     if (src_ok && tag_ok) {
-      Comm::RecvAwaiter* aw = p.awaiter;
+      p.awaiter->slot = slot;
       const std::coroutine_handle<> h = p.handle;
       dst.pending_.reset();
-      const Rank r = msg.dst;
-      aw->result = std::move(msg);
-      sched_at_rank(
+      const Rank r = m.dst;
+      resume_at_rank(
           now_us() +
               (params_.recv_overhead_us + params_.mpi_extra_us) * slowdown(r),
-          r, [h]() { h.resume(); });
+          r, h);
       return;
     }
   }
-  dst.mailbox_.deliver(std::move(msg));
+  dst.mailbox_.park(slot, m.src, m.tag);
 }
 
 RunOutcome Runtime::run() {
@@ -664,9 +697,14 @@ RunOutcome Runtime::run() {
       // more workers than shards can never engage).  The per-window worker
       // engagement inside the engine then follows live window occupancy.
       threads = std::clamp(
-          static_cast<int>(std::thread::hardware_concurrency()), 1, shards);
+          par_cores_ > 0
+              ? par_cores_
+              : static_cast<int>(std::thread::hardware_concurrency()),
+          1, shards);
     }
-    engine_ = std::make_unique<sim::ShardedEngine>(shards, window, threads);
+    engine_ = std::make_unique<sim::ShardedEngine>(shards, window, threads,
+                                                   par_cores_);
+    engine_->set_deliver_hook({&Runtime::deliver_hook, this});
     // Per-region sub-windows: a transfer initiated in region r cannot
     // produce an event in region s before the sender-side software floor
     // (zero under message faults — retransmits inject with ready ==
@@ -699,6 +737,7 @@ RunOutcome Runtime::run() {
     phase_names_par_.resize(static_cast<std::size_t>(shards));
   }
 
+  sim_.set_deliver_hook({&Runtime::deliver_hook, this});
   for (Rank r = 0; r < p; ++r) {
     sched_at_rank(0.0, r, [this, r]() {
       tasks_[static_cast<std::size_t>(r)].start(

@@ -166,7 +166,9 @@ class Comm {
     Comm* comm;
     Rank src;
     int tag;
-    Message result;
+    /// In-flight pool slot of the matched message, set before the resume;
+    /// await_resume moves the message out of the pool.
+    std::uint32_t slot = 0;
     bool blocked = false;
     SimTime called_at = 0;
     /// Schedule-recording stamp of this receive post (-1 = not recording).
@@ -307,8 +309,10 @@ class Runtime {
   /// order-sensitive observer is on (tracing, schedule recording), when
   /// the lookahead collapses to zero (e.g. zero-overhead test fixtures),
   /// or when p < 2; the fallback decision is itself thread-count
-  /// independent.
-  void enable_parallel(int threads);
+  /// independent.  `cores` is the core count the engine's worker
+  /// engagement assumes (0 = the host's; see sim::ShardedEngine), so
+  /// tests can engage workers on any host; it never changes outcomes.
+  void enable_parallel(int threads, int cores = 0);
 
   /// The conservative window width for this runtime's parameters: the
   /// earliest a cross-region event produced at the window barrier can land
@@ -349,29 +353,39 @@ class Runtime {
  private:
   friend class Comm;
 
-  /// Called at a message's arrival time.  Fault-run messages (seq >= 0)
-  /// first pass the mailbox's reorder buffer, which suppresses duplicates
-  /// and restores FIFO per (src, dst) despite retransmission; whatever it
-  /// releases is handed to a parked recv or buffered.
-  void deliver(Message msg);
-  void deliver_now(Message msg);
+  /// The delivery hook of both loops: runs at a message's arrival time
+  /// with its in-flight pool slot.  Fault-run messages (seq >= 0) first
+  /// pass the mailbox's reorder buffer, which suppresses duplicates and
+  /// restores FIFO per (src, dst) despite retransmission; whatever it
+  /// releases goes to hand_over.
+  static void deliver_hook(void* runtime, std::uint32_t slot);
+  void deliver(std::uint32_t slot);
+  /// Hands arrived message `slot` to its destination's parked receive, or
+  /// parks the slot in the destination's mailbox.
+  void hand_over(std::uint32_t slot);
 
   /// Fault-run send path: decides the fate of one transmission attempt of
-  /// the stashed message (delivered, delivered-but-ack-lost, or dropped
+  /// the pooled message (delivered, delivered-but-ack-lost, or dropped
   /// with a scheduled retransmit) from the reserved transfer's timing.
   /// Serial path: runs inline at reserve time.  Parallel path: runs at the
   /// window barrier only (it touches the network model).
   void after_reserve(std::uint32_t slot, int attempt, const net::Transfer& t);
-  /// Re-injects a stashed message for transmission attempt `attempt`,
+  /// Re-injects a pooled message for transmission attempt `attempt`,
   /// ready to inject at `ready`.  Parallel path: barrier only.
   void retransmit(std::uint32_t slot, int attempt, SimTime ready);
 
-  // In-flight message pool.  Delivery events used to capture the whole
-  // Message inside their callback, forcing a heap allocation per event;
-  // parking the message in a slot-reusing pool lets the callback capture
-  // just (runtime, slot) and stay inside EventFn's inline buffer.
+  // In-flight message pool.  A message is written into a slot once, when
+  // its send is reserved, and stays there — through delivery, the fault
+  // reorder buffer and the mailbox, which all pass the slot around —
+  // until the receive's await_resume moves it out.  Slots are reused.
+  // Allocation grows the pool, so under the engine it is barrier-only.
+  std::uint32_t alloc_inflight();
   std::uint32_t stash_inflight(Message msg);
-  Message unstash_inflight(std::uint32_t slot);
+  /// Moves the message out of `slot` and frees the slot.
+  Message take_inflight(std::uint32_t slot);
+  /// Frees `slot`; under the engine into the executing shard's free list,
+  /// so frees inside a window never share a list.
+  void free_inflight(std::uint32_t slot);
 
   /// Interns a phase name.  Serial path: runtime-wide, so ids agree across
   /// ranks.  Parallel path: per-shard tables (interning from concurrent
@@ -398,8 +412,8 @@ class Runtime {
     SimTime initiate = 0;
     /// Earliest injection time passed to NetworkModel::reserve.
     SimTime ready = 0;
-    /// kSend: the message (stashed into the in-flight pool at the
-    /// barrier, where pool growth is single-threaded).
+    /// kSend: the message (moved into the in-flight pool at the barrier,
+    /// where pool growth is single-threaded).
     Message msg;
     /// kRetransmit: in-flight pool slot of the stashed message.
     std::uint32_t slot = 0;
@@ -418,11 +432,16 @@ class Runtime {
   /// Schedules fn at t on rank r's home shard (parallel) or the simulator
   /// (serial).
   void sched_at_rank(SimTime t, Rank r, sim::EventFn fn);
-  /// Schedules a retransmit-staging event for the stashed message in slot
+  /// Typed forms: resume h, or deliver in-flight message `slot`, at t on
+  /// rank r's home shard (parallel) or the simulator (serial).
+  void resume_at_rank(SimTime t, Rank r, std::coroutine_handle<> h);
+  void deliver_at_rank(SimTime t, Rank r, std::uint32_t slot);
+  /// Schedules a retransmit-staging event for the pooled message in slot
   /// `slot` at time t (barrier context under the engine).
   void sched_retransmit(SimTime t, std::uint32_t slot, int attempt);
-  /// Stages a send request from the current drain (parallel path only).
-  void stage_send(Message msg, SimTime ready, std::coroutine_handle<> h);
+  /// Stages a send request from the current drain (parallel path only)
+  /// and returns its message for the caller to fill.
+  Message& stage_send(SimTime ready, std::coroutine_handle<> h);
   /// The window barrier: executes all staged requests in canonical order.
   void sequencer_flush();
   /// Merges the per-shard phase tables into phase_names_ and remaps every
@@ -451,6 +470,7 @@ class Runtime {
   // Parallel-engine state; all empty/null on the serial path (the default),
   // so serial runs pay nothing beyond a null check per dispatch.
   int par_threads_ = 0;  // 0 = serial loop; -1 = auto-size from the host
+  int par_cores_ = 0;    // 0 = the host's core count
   std::unique_ptr<sim::ShardedEngine> engine_;
   std::vector<int> shard_of_rank_;
   std::vector<std::vector<StagedXfer>> staged_;  // indexed by shard
@@ -458,9 +478,10 @@ class Runtime {
   /// the engine's safe horizon stay parked across barriers (sub-window
   /// hold-back) until the horizon passes them.
   std::vector<std::size_t> staged_cursor_;
-  /// Per-shard in-flight free lists: a delivery event frees its slot into
-  /// the executing shard's list (no shared mutation inside a window); the
-  /// barrier's stash scans them in shard order (deterministic reuse).
+  /// Per-shard in-flight free lists: a receive (or a discarded duplicate)
+  /// frees its slot into the executing shard's list (no shared mutation
+  /// inside a window); the barrier's allocation scans them in shard order
+  /// (deterministic reuse).
   std::vector<std::vector<std::uint32_t>> inflight_free_par_;
   std::vector<std::vector<std::string>> phase_names_par_;  // per shard
 };

@@ -2,19 +2,23 @@
 // insertion order, which makes every simulation bit-for-bit deterministic —
 // a property the tests assert and the benchmark harness relies on.
 //
-// Performance shape (this is the simulator's innermost loop — several
-// events per simulated message, hundreds of thousands per sweep):
-//  * EventFn stores small trivially-copyable callables inline — coroutine
-//    handles, `[&runtime, slot]` captures — so the hot path never touches
-//    the heap.  Larger or non-trivially-copyable callables (std::function,
-//    test lambdas capturing containers) transparently spill to the heap.
-//  * The queue is a monotone radix heap over 16-byte (time, slot) entries
-//    (EventQueue below, DESIGN.md §3); the callables themselves sit still
-//    in a slot pool.
+// Performance shape (this is the simulator's innermost loop — three events
+// per simulated message, hundreds of thousands per sweep):
+//  * Each queue entry is 16 bytes: the time's bit pattern and one tagged
+//    word of one of three kinds — a coroutine to resume, an in-flight
+//    message slot to deliver, or the slot of a parked EventFn.  The
+//    runtime's per-message events (sender resume, delivery, receiver
+//    resume) are the first two kinds and build no closure at all.
+//  * EventFn, for everything else, stores small trivially-copyable
+//    callables inline and spills larger or non-trivially-copyable ones
+//    (std::function, test lambdas capturing containers) to the heap.
+//  * The queue is a monotone radix heap over the entries (EventQueue
+//    below, DESIGN.md §3); parked callables sit still in a slot pool.
 #pragma once
 
 #include <array>
 #include <bit>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -110,10 +114,27 @@ class EventFn {
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
 };
 
-/// A scheduled callback.
+/// Receiver of a loop's delivery entries: one function and context per
+/// loop, installed once (mp::Runtime hands its in-flight messages over
+/// through it), so a delivery entry carries nothing but a pool slot.
+struct DeliverHook {
+  void (*fn)(void* ctx, std::uint32_t slot) = nullptr;
+  void* ctx = nullptr;
+};
+
+/// A popped event: its time and what to run.
 struct Event {
   SimTime time = 0;
+  /// The callable of a closure entry; empty for the two typed kinds.
   EventFn fn;
+  /// The entry's tagged word (see EventQueue): a coroutine frame address,
+  /// a message slot, or a spent EventFn slot.
+  std::uint64_t word = 0;
+
+  /// Runs the event: resumes the coroutine, hands the message slot to
+  /// `deliver`, or calls fn.  The one dispatch of Simulator::step and
+  /// ShardedEngine::drain.
+  void run(const DeliverHook& deliver);
 };
 
 /// Monotone radix heap keyed on the timestamp's bit pattern.  For
@@ -125,17 +146,32 @@ struct Event {
 /// is empty it moves `last` to the lowest non-empty bucket's minimum and
 /// redistributes that bucket, every entry of which lands in a lower one.
 ///
-/// Push contract: push(t) needs t >= the time of the last pop (a smaller
-/// key would be filed in the wrong bucket).  Simulator::at and
-/// ShardedEngine::at already guarantee it; push enforces it.
+/// Push contract: every push, of any kind, needs t >= the time of the
+/// last pop (a smaller key would be filed in the wrong bucket).  The
+/// Simulator and ShardedEngine scheduling calls already guarantee it; the
+/// pushes enforce it.
 ///
-/// Ties stay FIFO without a sequence number: equal keys always share a
-/// bucket, pushes append, and redistribution is stable into buckets that
-/// are empty, so insertion order survives every move.
+/// Ties stay FIFO without a sequence number, across all three kinds:
+/// equal keys always share a bucket, pushes append, and redistribution is
+/// stable into buckets that are empty, so insertion order survives every
+/// move.
 class EventQueue {
  public:
+  /// Low two bits of an entry's word: what the rest of the word holds.
+  /// Coroutine frames come from operator new, so their addresses leave
+  /// these bits clear (push_resume checks).
+  static constexpr std::uint64_t kTagMask = 3;
+  static constexpr std::uint64_t kFnTag = 0;       // EventFn slot << 2
+  static constexpr std::uint64_t kResumeTag = 1;   // frame address | 1
+  static constexpr std::uint64_t kDeliverTag = 2;  // message slot << 2 | 2
+
   /// Enqueues fn at absolute time t (t >= the time of the last pop).
   void push(SimTime t, EventFn fn);
+  /// Enqueues a resume of h at t — a typed entry, no closure.
+  void push_resume(SimTime t, std::coroutine_handle<> h);
+  /// Enqueues the delivery of in-flight message `slot` at t — a typed
+  /// entry, run through the loop's DeliverHook.
+  void push_deliver(SimTime t, std::uint32_t slot);
 
   /// Removes and returns the earliest event (FIFO among equal times).
   Event pop();
@@ -160,15 +196,19 @@ class EventQueue {
   std::size_t peak_size() const { return peak_; }
 
  private:
-  /// Bucket entry: the timestamp's bit pattern and the parked callable's
-  /// slot.
+  /// Bucket entry: the timestamp's bit pattern and the tagged word.
   struct Entry {
     std::uint64_t key;
-    std::uint32_t slot;
+    std::uint64_t word;
   };
+  static_assert(sizeof(Entry) == 16);
 
   static constexpr std::size_t kBuckets = 65;
 
+  /// Checks the push contract for time t and returns its key.
+  std::uint64_t key_of(SimTime t) const;
+  /// Files an entry by its key relative to last_ and counts the push.
+  void add(std::uint64_t key, std::uint64_t word);
   /// Files an entry by its key relative to last_.
   void file(const Entry& e);
 
@@ -188,5 +228,21 @@ class EventQueue {
   std::uint64_t pushed_ = 0;
   std::size_t peak_ = 0;
 };
+
+inline void Event::run(const DeliverHook& deliver) {
+  switch (word & EventQueue::kTagMask) {
+    case EventQueue::kResumeTag:
+      std::coroutine_handle<>::from_address(
+          reinterpret_cast<void*>(word & ~EventQueue::kTagMask))
+          .resume();
+      return;
+    case EventQueue::kDeliverTag:
+      deliver.fn(deliver.ctx, static_cast<std::uint32_t>(word >> 2));
+      return;
+    default:
+      fn();
+      return;
+  }
+}
 
 }  // namespace spb::sim

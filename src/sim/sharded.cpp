@@ -26,13 +26,18 @@ constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::infinity();
 
 }  // namespace
 
-ShardedEngine::ShardedEngine(int shards, double window_us, int threads)
+ShardedEngine::ShardedEngine(int shards, double window_us, int threads,
+                             int cores)
     : shards_(static_cast<std::size_t>(std::max(shards, 1))),
       window_(window_us),
       threads_(std::clamp(threads, 1, std::max(shards, 1))),
-      hardware_threads_(
-          std::max(1, static_cast<int>(std::thread::hardware_concurrency()))) {
+      cores_(std::max(1, cores > 0 ? cores
+                                   : static_cast<int>(
+                                         std::thread::hardware_concurrency()))) {
   SPB_REQUIRE(shards >= 1, "ShardedEngine needs at least one shard");
+  SPB_REQUIRE(shards <= 0xffff, "ShardedEngine supports at most 65535 shards "
+                                "(got " << shards << ")");
+  SPB_REQUIRE(cores >= 0, "negative core count " << cores);
   SPB_REQUIRE(window_us > 0,
               "ShardedEngine needs a positive lookahead window (got "
                   << window_us << " us); zero lookahead means serial");
@@ -125,7 +130,7 @@ void ShardedEngine::note_stage(SimTime initiate) {
   ++s.staged_xfers;
 }
 
-void ShardedEngine::at(SimTime t, int shard, EventFn fn) {
+EventQueue& ShardedEngine::target(SimTime t, int shard) {
   SPB_REQUIRE(shard >= 0 && shard < shard_count(),
               "shard " << shard << " out of range");
   Shard& s = shards_[static_cast<std::size_t>(shard)];
@@ -147,7 +152,22 @@ void ShardedEngine::at(SimTime t, int shard, EventFn fn) {
                 "barrier push at t=" << t << " violates shard " << shard
                                      << "'s frontier " << s.frontier);
   }
-  s.queue.push(t, std::move(fn));
+  return s.queue;
+}
+
+void ShardedEngine::at(SimTime t, int shard, EventFn fn) {
+  target(t, shard).push(t, std::move(fn));
+}
+
+void ShardedEngine::resume_at(SimTime t, int shard,
+                              std::coroutine_handle<> h) {
+  target(t, shard).push_resume(t, h);
+}
+
+void ShardedEngine::deliver_at(SimTime t, int shard, std::uint32_t slot) {
+  SPB_REQUIRE(deliver_.fn != nullptr,
+              "deliver_at() without a delivery hook installed");
+  target(t, shard).push_deliver(t, slot);
 }
 
 bool ShardedEngine::plan_window() {
@@ -211,7 +231,7 @@ void ShardedEngine::drain(int index) {
       s.now = e.time;
       tls_running.now = e.time;
       ++n;
-      e.fn();
+      e.run(deliver_);
     }
   } catch (...) {
     if (s.error == nullptr) s.error = std::current_exception();
@@ -220,12 +240,34 @@ void ShardedEngine::drain(int index) {
   s.executed += n;
 }
 
-void ShardedEngine::claim_and_drain() {
-  const int busy = static_cast<int>(busy_list_.size());
+namespace {
+
+constexpr std::uint64_t kClaimField = 0xffff;
+
+std::uint64_t claim_word(std::uint32_t epoch, int busy) {
+  return std::uint64_t{epoch} << 32 | static_cast<std::uint64_t>(busy) << 16;
+}
+
+}  // namespace
+
+void ShardedEngine::claim_and_drain(std::uint32_t epoch) {
+  std::uint64_t w = claim_.load();
   for (;;) {
-    const int i = next_busy_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= busy) return;
-    drain(busy_list_[static_cast<std::size_t>(i)]);
+    const std::uint64_t next = w & kClaimField;
+    const std::uint64_t busy = (w >> 16) & kClaimField;
+    // A later window's word, or nothing left to claim in this one.
+    if (static_cast<std::uint32_t>(w >> 32) != epoch || next >= busy) return;
+    if (!claim_.compare_exchange_weak(w, w + 1)) continue;
+    // The claim succeeded in `epoch`, whose busy list stays put until
+    // this drain is counted done.
+    drain(busy_list_[static_cast<std::size_t>(next)]);
+    if (done_.fetch_add(1) + 1 == static_cast<int>(busy)) {
+      // The window's last drain: wake the coordinator.  Taking the mutex
+      // orders this against its predicate check.
+      { const std::lock_guard<std::mutex> lk(mu_); }
+      cv_done_.notify_all();
+    }
+    w = claim_.load();
   }
 }
 
@@ -237,45 +279,38 @@ void ShardedEngine::run_window() {
   // wall-clock policy — drains are mutually independent, so who drains
   // what cannot change results.
   const int engage =
-      std::min({static_cast<int>(pool_.size()), busy - 1,
-                hardware_threads_ - 1});
+      std::min({static_cast<int>(pool_.size()), busy - 1, cores_ - 1});
   if (engage <= 0) {
     // Inline mode: drain the busy shards in index order on this thread.
     for (int i = 0; i < busy; ++i)
       drain(busy_list_[static_cast<std::size_t>(i)]);
     return;
   }
+  std::uint32_t epoch;
   {
     const std::lock_guard<std::mutex> lk(mu_);
-    next_busy_.store(0, std::memory_order_relaxed);
-    ++epoch_;
+    epoch = ++epoch_;
+    done_ = 0;
+    claim_ = claim_word(epoch, busy);
   }
   for (int i = 0; i < engage; ++i) cv_start_.notify_one();
-  claim_and_drain();
-  // Every busy shard has been claimed (the counter passed busy), and a
-  // claimant only leaves its loop after finishing the drains it claimed —
-  // so active_ == 0 here means the window is fully drained.
+  claim_and_drain(epoch);
+  // Every index was claimed in this epoch (the claim loop only returns
+  // once next >= busy), so done_ == busy means every drain has finished.
   std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [this] { return active_ == 0; });
+  cv_done_.wait(lk, [this, busy] { return done_ == busy; });
 }
 
 void ShardedEngine::worker_loop() {
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(mu_);
       cv_start_.wait(lk, [&] { return stop_ || epoch_ != seen; });
       if (stop_) return;
       seen = epoch_;
-      ++active_;
     }
-    claim_and_drain();
-    {
-      const std::lock_guard<std::mutex> lk(mu_);
-      --active_;
-      if (active_ > 0) continue;
-    }
-    cv_done_.notify_all();
+    claim_and_drain(seen);
   }
 }
 
@@ -294,10 +329,9 @@ SimTime ShardedEngine::run(const BarrierFn& barrier) {
   SPB_REQUIRE(!ran_, "ShardedEngine::run() is one-shot");
   ran_ = true;
   // A single-core host can never engage a worker (run_window caps engage
-  // at hardware_threads_ - 1), so don't pay the spawns there; pool size is
-  // wall-clock policy only and cannot affect results.
-  const int spawn =
-      std::min(threads_, hardware_threads_) - 1;
+  // at cores_ - 1), so don't pay the spawns there; pool size is wall-clock
+  // policy only and cannot affect results.
+  const int spawn = std::min(threads_, cores_) - 1;
   if (spawn > 0) {
     pool_.reserve(static_cast<std::size_t>(spawn));
     for (int i = 0; i < spawn; ++i)

@@ -55,10 +55,16 @@
 // locking), so oversubscribed thread counts degrade to near-serial cost
 // instead of paying wakeups for idle shards.  `threads == 1` never creates
 // a std::thread at all.
+//
+// Claims are tagged with the window's epoch: one atomic word holds the
+// epoch, the busy count and the next busy_list_ index, so a worker woken
+// for an earlier window claims nothing, and the coordinator waits until
+// every drain claimed in its window has finished (DESIGN.md §12).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <coroutine>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -103,8 +109,10 @@ class ShardedEngine {
   /// transfer to any of its effects landing back on the initiating shard);
   /// `threads` caps the drain workers (clamped to [1, shards]; only
   /// threads - 1 std::threads are ever created — the caller's thread
-  /// drains too).
-  ShardedEngine(int shards, double window_us, int threads);
+  /// drains too).  `cores` is the core count the engagement policy
+  /// assumes (0 = the host's); at most cores - 1 workers ever run, so
+  /// tests pass a count above 1 to engage workers on any host.
+  ShardedEngine(int shards, double window_us, int threads, int cores = 0);
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -163,6 +171,13 @@ class ShardedEngine {
   /// traffic goes through the barrier); in barrier or pre-run context any
   /// shard may be targeted, but t must not precede that shard's frontier.
   void at(SimTime t, int shard, EventFn fn);
+  /// Typed forms of at(), with the same context rules: resume h, or
+  /// deliver in-flight message `slot` through the delivery hook.
+  void resume_at(SimTime t, int shard, std::coroutine_handle<> h);
+  void deliver_at(SimTime t, int shard, std::uint32_t slot);
+
+  /// Installs the receiver of deliver_at entries (before run()).
+  void set_deliver_hook(DeliverHook hook) { deliver_ = hook; }
 
   using BarrierFn = std::function<void()>;
 
@@ -213,11 +228,16 @@ class ShardedEngine {
                                              : kNoPending;
   }
 
+  /// The queue an at() call may push onto at time t (checks the drain or
+  /// barrier context rules).
+  EventQueue& target(SimTime t, int shard);
   /// Plans the next window: per-shard limits, the busy list, stats.
   /// Returns false when the run is complete.
   bool plan_window();
   void drain(int index);
-  void claim_and_drain();
+  /// Claims and drains busy shards of window `epoch` until none is left
+  /// (or the claim word has moved on to a later window).
+  void claim_and_drain(std::uint32_t epoch);
   void run_window();
   void worker_loop();
   void stop_pool();
@@ -228,14 +248,15 @@ class ShardedEngine {
   std::vector<Shard> shards_;
   double window_;
   int threads_;
-  /// Worker-engagement cap from the host's core count; purely a wall-clock
+  /// Worker-engagement cap from the core count; purely a wall-clock
   /// policy knob (never affects results).
-  int hardware_threads_;
+  int cores_;
   bool ran_ = false;
+  DeliverHook deliver_;
   SimTime safe_horizon_ = 0;
   /// min-plus-closed cross-shard delay matrix (row-major).
   std::vector<double> cross_delays_;
-  /// Shards with drainable work this window, claimed via next_busy_.
+  /// Shards with drainable work this window, claimed through claim_.
   std::vector<int> busy_list_;
   /// Per-window scratch: shards whose eff is finite (they alone constrain
   /// other shards' window ends).
@@ -245,26 +266,25 @@ class ShardedEngine {
   EngineStats stats_;
 
   // Worker pool (only populated when threads_ > 1).  Workers sleep between
-  // windows; epoch_ bumps wake them.  A waking worker registers in
-  // active_ *under the mutex* before claiming shards and deregisters when
-  // its claim loop ends, so the coordinator's wait for active_ == 0 (after
-  // finishing its own claims) proves every drain of the window completed —
-  // a late-waking worker either joins the current window consistently or
-  // finds all shards claimed and goes back to sleep.  The mutex hand-offs
-  // double as the memory fences that publish queue contents between the
-  // barrier and the drainers.  Windows that engage no workers (one busy
-  // shard, or a single-core host) skip the mutex entirely and drain
-  // inline.
+  // windows; an epoch_ bump wakes them, and each claims only in the epoch
+  // it woke for.  The coordinator publishes a window by storing the claim
+  // word after plan_window, claims alongside the workers, and
+  // then waits until done_ reaches the busy count — every claimed drain
+  // of the window has finished — before the barrier touches any shard.
+  // A worker that wakes late finds a later epoch (or no index left) in
+  // the word and claims nothing.  Windows that engage no workers (one
+  // busy shard, or a single-core host) skip all of this and drain inline.
   std::vector<std::thread> pool_;
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
-  std::uint64_t epoch_ = 0;
-  int active_ = 0;
-  bool stop_ = false;
-  /// Claim cursor into busy_list_; on its own cache line so drainers'
-  /// fetch_adds never collide with the coordination fields above.
-  alignas(64) std::atomic<int> next_busy_{0};
+  std::uint32_t epoch_ = 0;  // guarded by mu_
+  bool stop_ = false;        // guarded by mu_
+  /// Claim word: epoch << 32 | busy count << 16 | next busy_list_ index.
+  /// On its own cache line so claims never collide with the fields above.
+  alignas(64) std::atomic<std::uint64_t> claim_{0};
+  /// Drains of the current window that have finished.
+  std::atomic<int> done_{0};
 };
 
 }  // namespace spb::sim

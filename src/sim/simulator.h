@@ -4,6 +4,7 @@
 // passing runtime, the rank coroutines — is driven from this loop.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 
 #include "common/types.h"
@@ -22,6 +23,17 @@ class Simulator {
   /// Schedules fn after a non-negative delay.
   void after(SimTime delay, EventFn fn);
 
+  /// Schedules a resume of h at absolute time t (t >= now()); the entry
+  /// is typed, so no closure is built.
+  void resume_at(SimTime t, std::coroutine_handle<> h);
+
+  /// Schedules the delivery of in-flight message `slot` at absolute time t
+  /// (t >= now()) through the hook installed with set_deliver_hook.
+  void deliver_at(SimTime t, std::uint32_t slot);
+
+  /// Installs the receiver of deliver_at entries.
+  void set_deliver_hook(DeliverHook hook) { deliver_ = hook; }
+
   /// Runs until the event queue is empty.  Returns the final clock value.
   SimTime run();
 
@@ -39,8 +51,10 @@ class Simulator {
 
  private:
   void step();
+  void check_time(SimTime t) const;
 
   EventQueue queue_;
+  DeliverHook deliver_;
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;
 };

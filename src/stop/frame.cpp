@@ -33,14 +33,20 @@ Frame Frame::sub(std::vector<Rank> ranks, int rows, int cols,
   f.cols_ = cols;
   f.message_bytes_ = message_bytes;
   f.hints_ = hints;
-  f.position_.reserve(ranks.size());
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    const bool fresh =
-        f.position_.emplace(ranks[i], static_cast<int>(i)).second;
-    SPB_REQUIRE(fresh, "rank " << ranks[i] << " appears twice in the frame");
+  Rank top = 0;
+  for (const Rank r : ranks) {
+    SPB_REQUIRE(r >= 0, "rank " << r << " in a frame is negative");
+    top = std::max(top, r);
   }
+  std::vector<int> position(static_cast<std::size_t>(top) + 1, -1);
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    int& at = position[static_cast<std::size_t>(ranks[i])];
+    SPB_REQUIRE(at < 0, "rank " << ranks[i] << " appears twice in the frame");
+    at = static_cast<int>(i);
+  }
+  f.position_ = std::make_shared<const std::vector<int>>(std::move(position));
   for (const Rank s : sources)
-    SPB_REQUIRE(f.position_.count(s) == 1,
+    SPB_REQUIRE(f.contains(s),
                 "source " << s << " is not a member of the frame");
   f.ranks_ = std::make_shared<const std::vector<Rank>>(std::move(ranks));
   f.sources_ = std::move(sources);
@@ -48,13 +54,14 @@ Frame Frame::sub(std::vector<Rank> ranks, int rows, int cols,
 }
 
 int Frame::position_of(Rank r) const {
-  const auto it = position_.find(r);
-  SPB_REQUIRE(it != position_.end(),
-              "rank " << r << " is not a member of the frame");
-  return it->second;
+  SPB_REQUIRE(contains(r), "rank " << r << " is not a member of the frame");
+  return (*position_)[static_cast<std::size_t>(r)];
 }
 
-bool Frame::contains(Rank r) const { return position_.count(r) == 1; }
+bool Frame::contains(Rank r) const {
+  return r >= 0 && static_cast<std::size_t>(r) < position_->size() &&
+         (*position_)[static_cast<std::size_t>(r)] >= 0;
+}
 
 std::vector<char> Frame::active_flags() const {
   std::vector<char> flags(static_cast<std::size_t>(size()), 0);

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -63,7 +62,10 @@ class Frame {
 
  private:
   std::shared_ptr<const std::vector<Rank>> ranks_;
-  std::unordered_map<Rank, int> position_;
+  /// Position of each rank, indexed by rank (-1 for non-members); shared
+  /// like ranks_, so copying a frame into a program factory copies no
+  /// index.
+  std::shared_ptr<const std::vector<int>> position_;
   int rows_ = 1;
   int cols_ = 1;
   std::vector<Rank> sources_;

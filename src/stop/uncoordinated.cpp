@@ -36,8 +36,7 @@ sim::Task uncoord_program(mp::Comm& comm, mp::Payload& data,
     --expected;
     const mp::Payload original = data;
     for (const int child :
-         plan->trees[static_cast<std::size_t>(i)]
-             .children[static_cast<std::size_t>(my_pos)]) {
+         plan->trees[static_cast<std::size_t>(i)].children(my_pos)) {
       co_await comm.send((*plan->seq)[static_cast<std::size_t>(child)],
                          original, kTreeTagBase + i);
     }
@@ -52,8 +51,7 @@ sim::Task uncoord_program(mp::Comm& comm, mp::Payload& data,
     SPB_CHECK_MSG(tree >= 0 && tree < s,
                   "unexpected tag " << m.tag << " in uncoordinated bcast");
     for (const int child :
-         plan->trees[static_cast<std::size_t>(tree)]
-             .children[static_cast<std::size_t>(my_pos)]) {
+         plan->trees[static_cast<std::size_t>(tree)].children(my_pos)) {
       co_await comm.send((*plan->seq)[static_cast<std::size_t>(child)],
                          m.payload, m.tag);
     }

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "coll/barrier.h"
@@ -96,7 +97,9 @@ TEST(BcastTree, FromHalvingStructure) {
   EXPECT_EQ(t.root, 0);
   EXPECT_EQ(t.parent[0], -1);
   // Root sends to 4, then 2, then 1 (halving order, big subtree first).
-  EXPECT_EQ(t.children[0], (std::vector<int>{4, 2, 1}));
+  const std::span<const int> root_kids = t.children(0);
+  EXPECT_EQ(std::vector<int>(root_kids.begin(), root_kids.end()),
+            (std::vector<int>{4, 2, 1}));
   for (int pos = 1; pos < 8; ++pos) EXPECT_GE(t.parent[pos], 0);
 }
 
@@ -105,7 +108,7 @@ TEST(BcastTree, BinaryHasBoundedFanout) {
     const BcastTree t = BcastTree::binary(n, 0);
     int reachable = 0;
     for (int pos = 0; pos < n; ++pos) {
-      EXPECT_LE(t.children[static_cast<std::size_t>(pos)].size(), 2u);
+      EXPECT_LE(t.children(pos).size(), 2u);
       if (pos == t.root) {
         EXPECT_EQ(t.parent[static_cast<std::size_t>(pos)], -1);
       } else {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -40,6 +41,10 @@ std::vector<std::set<int>> interpret(const HalvingSchedule& s,
   return data;
 }
 
+std::vector<Action> as_vector(std::span<const Action> acts) {
+  return {acts.begin(), acts.end()};
+}
+
 std::vector<char> flags_from(int n, const std::vector<int>& sources) {
   std::vector<char> f(static_cast<std::size_t>(n), 0);
   for (const int s : sources) f[static_cast<std::size_t>(s)] = 1;
@@ -69,9 +74,9 @@ TEST(Halving, OneSidedSendWhenPartnerEmpty) {
   // Only position 0 active on 4 positions: iteration 0 is a single send
   // 0 -> 2, no reverse traffic.
   const auto s = HalvingSchedule::compute(flags_from(4, {0}));
-  EXPECT_EQ(s.actions(0, 0),
+  EXPECT_EQ(as_vector(s.actions(0, 0)),
             (std::vector<Action>{{Action::Type::kSend, 2}}));
-  EXPECT_EQ(s.actions(0, 2),
+  EXPECT_EQ(as_vector(s.actions(0, 2)),
             (std::vector<Action>{{Action::Type::kRecv, 0}}));
   EXPECT_TRUE(s.actions(0, 1).empty());
   EXPECT_TRUE(s.actions(0, 3).empty());

@@ -25,7 +25,7 @@ TEST(BcastTreeRotation, RootCanBeAnyPosition) {
       while (!frontier.empty()) {
         const int at = frontier.back();
         frontier.pop_back();
-        for (const int c : t.children[static_cast<std::size_t>(at)]) {
+        for (const int c : t.children(at)) {
           EXPECT_EQ(t.parent[static_cast<std::size_t>(c)], at);
           EXPECT_TRUE(seen.insert(c).second);
           frontier.push_back(c);

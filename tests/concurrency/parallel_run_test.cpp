@@ -9,13 +9,18 @@
 // engine statistics and the final payload of every rank — and require the
 // fingerprints to match exactly for sim_threads in {1, 2, 8, -1}, on the
 // four machine shapes of the acceptance matrix (paragon8x8, t3d512,
-// torus4x4x4x4, cluster8x4), with faults off and on.  Under TSan this
-// suite doubles as the data-race check for the engine's worker pool and
-// the runtime's per-shard state.
+// torus4x4x4x4, cluster8x4), with faults off and on.  The runs tell the
+// engine the host has four cores, so windows with several busy shards
+// engage drain workers even on a one-core host.  Under TSan this suite
+// doubles as the data-race check for the engine's worker pool and the
+// runtime's per-shard state; ctest's parallel_run_stress repeats the
+// fault-run matrix, whose fingerprints caught a worker waking late into
+// the next window's claims.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -23,8 +28,10 @@
 #include "fault/fault.h"
 #include "machine/config.h"
 #include "stop/algorithm.h"
+#include "stop/frame.h"
 #include "stop/problem.h"
 #include "stop/run.h"
+#include "stop/verify.h"
 
 namespace spb {
 namespace {
@@ -75,15 +82,40 @@ std::string fingerprint(const stop::RunResult& r) {
   return os.str();
 }
 
+/// Core count the runs report to the engine: enough that every window
+/// with two or more busy shards engages workers, whatever the host.
+constexpr int kCores = 4;
+
+/// stop::run's steps for Br_Lin, with the engine's core count set to
+/// kCores (threads 0 = the serial loop).
 stop::RunResult run_with_threads(const machine::MachineConfig& machine,
                                  int sources, Bytes bytes, int threads,
                                  const fault::FaultSpec& faults = {}) {
   const stop::Problem pb =
       stop::make_problem(machine, dist::Kind::kRandom, sources, bytes, 11);
-  stop::RunConfig cfg;
-  cfg.sim_threads(threads);
-  if (faults.any()) cfg.faults(faults, 7);
-  return stop::run(*stop::make_br_lin(), pb, cfg);
+  const stop::ProgramFactory factory =
+      stop::make_br_lin()->prepare(stop::Frame::whole(pb));
+  mp::Runtime rt = pb.machine.make_runtime(false);
+  if (faults.any()) {
+    rt.set_fault_plan(std::make_shared<const fault::FaultPlan>(
+        faults, 7, pb.machine.topology->link_space(), pb.p()));
+  }
+  if (threads != 0) rt.enable_parallel(threads, kCores);
+  stop::RunResult r;
+  r.final_payloads.assign(static_cast<std::size_t>(pb.p()), mp::Payload{});
+  for (std::size_t i = 0; i < pb.sources.size(); ++i) {
+    const Rank s = pb.sources[i];
+    r.final_payloads[static_cast<std::size_t>(s)] =
+        mp::Payload::original(s, pb.bytes_of_source(i));
+  }
+  for (Rank rank = 0; rank < pb.p(); ++rank)
+    rt.spawn(rank, factory(rt.comm(rank),
+                           r.final_payloads[static_cast<std::size_t>(rank)]));
+  r.outcome = rt.run();
+  r.time_us = r.outcome.makespan_us;
+  const stop::VerifyResult v = stop::verify_broadcast(pb, r.final_payloads);
+  EXPECT_TRUE(v.ok) << v.error;
+  return r;
 }
 
 void expect_identical_across_thread_counts(

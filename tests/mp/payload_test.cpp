@@ -3,31 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <new>
 #include <vector>
 
+#include "alloc_count.h"
 #include "common/check.h"
-
-// Counts the heap allocations of the calling thread, so the sharing tests
-// can prove that copying a payload allocates nothing.
-namespace {
-thread_local std::size_t allocations_here = 0;
-}  // namespace
-
-// Out of line, so the compiler never pairs an inlined free() with a new
-// expression (-Wmismatched-new-delete).
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  ++allocations_here;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace spb::mp {
 namespace {
@@ -253,11 +233,11 @@ void expect_bits(const Payload& p, const Bits& want) {
 
 TEST(Payload, CopyOfLargePayloadSharesStorageWithoutAllocating) {
   const Payload p = evens(64);
-  const std::size_t before = allocations_here;
+  const std::size_t before = test::allocations_here();
   const Payload copy = p;  // NOLINT(performance-unnecessary-copy-initialization)
   Payload assigned;
   assigned = p;
-  EXPECT_EQ(allocations_here, before);
+  EXPECT_EQ(test::allocations_here(), before);
   EXPECT_EQ(copy.chunks().data(), p.chunks().data());
   EXPECT_EQ(assigned.chunks().data(), p.chunks().data());
   EXPECT_EQ(copy, p);

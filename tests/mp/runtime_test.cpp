@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "alloc_count.h"
+#include "fault/fault.h"
 #include "net/topology.h"
 
 // NOTE: rank programs are written as free coroutine functions, never as
@@ -329,6 +333,120 @@ TEST(Runtime, SendsEqualReceivesInMetrics) {
   EXPECT_EQ(out.metrics.total_sends, 12u);
   EXPECT_EQ(out.metrics.total_recvs, 12u);
   EXPECT_EQ(out.network.transfers, 12u);
+}
+
+// --- the message path's allocations --------------------------------------
+
+/// Rank 0: `warm` + `pairs` rounds of two sends and two echo receives,
+/// counting the allocations of the last `pairs` rounds.
+sim::Task pair_sender(Comm& comm, int warm, int pairs, std::size_t& allocs) {
+  std::size_t before = 0;
+  for (int i = 0; i < warm + pairs; ++i) {
+    if (i == warm) before = test::allocations_here();
+    co_await comm.send(1, Payload::original(0, 64));
+    co_await comm.send(1, Payload::original(0, 64));
+    static_cast<void>(co_await comm.recv(1));
+    static_cast<void>(co_await comm.recv(1));
+  }
+  allocs = test::allocations_here() - before;
+}
+
+/// Rank 1: echoes each pair back.  The compute between the two receives
+/// lets the second message arrive first, so it parks in the mailbox.
+sim::Task pair_echo(Comm& comm, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    static_cast<void>(co_await comm.recv(0));
+    co_await comm.compute(0.0);
+    static_cast<void>(co_await comm.recv(0));
+    co_await comm.send(0, Payload::original(1, 64));
+    co_await comm.send(0, Payload::original(1, 64));
+  }
+}
+
+TEST(Runtime, WarmExchangeAllocatesIndependentlyOfMessageCount) {
+  // A send, its delivery, the mailbox and the receive pass a pool slot
+  // and typed queue entries around: once the pools are warm, exchanging
+  // N or 2N inline-payload messages allocates the same number of times —
+  // none.  The machine is free (no latency, overhead or serialization),
+  // so every event lands at t = 0: the event queue's radix buckets, which
+  // grow with the clock's bit patterns rather than with messages, stay
+  // out of the count.
+  const auto measured_allocs = [](int pairs) {
+    constexpr int kWarm = 16;
+    net::NetParams free_net;
+    free_net.alpha_us = 0;
+    free_net.per_hop_us = 0;
+    free_net.bytes_per_us = std::numeric_limits<double>::infinity();
+    CommParams free_comm = plain_comm();
+    free_comm.send_overhead_us = 0;
+    free_comm.recv_overhead_us = 0;
+    Runtime rt(std::make_shared<net::LinearArray>(2), free_net, free_comm,
+               net::RankMapping::identity(2));
+    std::size_t allocs = 0;
+    rt.spawn(0, pair_sender(rt.comm(0), kWarm, pairs, allocs));
+    rt.spawn(1, pair_echo(rt.comm(1), kWarm + pairs));
+    const RunOutcome out = rt.run();
+    EXPECT_EQ(out.makespan_us, 0.0);
+    EXPECT_EQ(out.metrics.total_sends,
+              static_cast<std::uint64_t>(4 * (kWarm + pairs)));
+    return allocs;
+  };
+  const std::size_t n = measured_allocs(64);
+  EXPECT_EQ(n, measured_allocs(128));
+  EXPECT_EQ(n, 0u);
+}
+
+// --- the fault-run reorder buffer -----------------------------------------
+
+sim::Task numbered_sender(Comm& comm, int count) {
+  for (int i = 0; i < count; ++i)
+    co_await comm.send(1, Payload::original(0, 8 * static_cast<Bytes>(i + 1)));
+}
+
+sim::Task numbered_receiver(Comm& comm, int count, std::vector<Bytes>& got) {
+  for (int i = 0; i < count; ++i) {
+    const Message m = co_await comm.recv(0);
+    got.push_back(m.payload.total_bytes());
+  }
+}
+
+TEST(Runtime, FaultRunsReleaseInSendOrderSerialAndSharded) {
+  // Rank 0 streams numbered messages to rank 1 (one per region) under
+  // heavy drops and lost acknowledgements.  A dropped message is
+  // retransmitted a timeout later, after its successors landed, and a
+  // lost acknowledgement sends a duplicate: the reorder buffer holds the
+  // early slots, discards the duplicates and releases in send order, on
+  // the serial loop and under the sharded engine alike.
+  constexpr int kCount = 40;
+  fault::FaultSpec spec;
+  spec.drop_rate = 0.3;
+  spec.dup_rate = 0.3;
+  const auto plan = std::make_shared<const fault::FaultPlan>(
+      spec, 5, net::LinearArray(2).link_space(), 2);
+  // The plan drops some message's first attempt but not its successor's,
+  // so the successor arrives first.
+  bool overtaken = false;
+  for (std::uint32_t seq = 0; seq + 1 < kCount; ++seq)
+    overtaken |= plan->transit_dropped(0, 1, seq, 0) &&
+                 !plan->transit_dropped(0, 1, seq + 1, 0);
+  ASSERT_TRUE(overtaken);
+  std::vector<Bytes> want;
+  for (int i = 0; i < kCount; ++i) want.push_back(8 * static_cast<Bytes>(i + 1));
+
+  for (const int threads : {0, 2}) {
+    Runtime rt = make_runtime(2);
+    rt.set_fault_plan(plan);
+    if (threads != 0) rt.enable_parallel(threads, /*cores=*/4);
+    std::vector<Bytes> got;
+    rt.spawn(0, numbered_sender(rt.comm(0), kCount));
+    rt.spawn(1, numbered_receiver(rt.comm(1), kCount, got));
+    const RunOutcome out = rt.run();
+    EXPECT_EQ(out.par.parallel(), threads != 0);
+    EXPECT_EQ(got, want) << "threads " << threads;
+    EXPECT_GT(out.metrics.retransmits, 0u);
+    EXPECT_GT(out.metrics.duplicates, 0u);
+    EXPECT_EQ(out.metrics.total_recvs, static_cast<std::uint64_t>(kCount));
+  }
 }
 
 TEST(Runtime, RunIsOneShot) {

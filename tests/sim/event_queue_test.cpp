@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <set>
 #include <utility>
@@ -16,6 +18,48 @@
 
 namespace spb::sim {
 namespace {
+
+/// A coroutine for the typed resume entries: every resume records its
+/// label in `sink` and suspends again.
+struct Probe {
+  struct promise_type {
+    Probe get_return_object() {
+      return Probe{std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { std::terminate(); }
+  };
+  explicit Probe(std::coroutine_handle<promise_type> handle) : h(handle) {}
+  Probe(Probe&& other) noexcept : h(std::exchange(other.h, {})) {}
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+  Probe& operator=(Probe&&) = delete;
+  ~Probe() {
+    if (h) h.destroy();
+  }
+  std::coroutine_handle<promise_type> h;
+};
+
+Probe probe(std::uint64_t& sink, std::uint64_t label) {
+  for (;;) {
+    sink = label;
+    co_await std::suspend_always{};
+  }
+}
+
+/// Labels the typed kinds leave in the sink; closures leave their id.
+constexpr std::uint64_t kResumeLabel = std::uint64_t{1} << 40;
+constexpr std::uint64_t kDeliverLabel = std::uint64_t{2} << 40;
+
+/// A delivery hook that records the delivered slot in the sink at `ctx`.
+DeliverHook recording_hook(std::uint64_t& sink) {
+  return {[](void* ctx, std::uint32_t slot) {
+            *static_cast<std::uint64_t*>(ctx) = kDeliverLabel | slot;
+          },
+          &sink};
+}
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
@@ -63,6 +107,8 @@ TEST(EventQueue, PopEmptyThrows) {
 TEST(EventQueue, NullCallbackRejected) {
   EventQueue q;
   EXPECT_THROW(q.push(0.0, nullptr), CheckError);
+  EXPECT_THROW(q.push_resume(0.0, std::coroutine_handle<>{}), CheckError);
+  EXPECT_EQ(q.pushed(), 0u);
 }
 
 TEST(EventQueue, CountsPushes) {
@@ -78,12 +124,14 @@ TEST(EventQueue, CountsPushes) {
 }
 
 /// Randomized differential check against a reference ordered by (time,
-/// insertion), 120k operations per seed.  Push times are >= the last pop
-/// and drawn from a small set (the last pop itself, -0.0, subnormals,
-/// 1e300, short offsets), so ties are frequent.  top_time() is checked
+/// insertion), 120k operations per seed.  Each push is one of the three
+/// entry kinds — a closure, a coroutine resume or a message delivery — so
+/// ties between kinds are frequent and must still pop in insertion order.
+/// Push times are >= the last pop and drawn from a small set (the last pop
+/// itself, -0.0, subnormals, 1e300, short offsets).  top_time() is checked
 /// before every pop, the sharded engine's peek-then-push-below-the-head
-/// pattern is exercised, a push below the last pop must throw without
-/// being counted, and pushed() / peak_size() are exact.
+/// pattern is exercised, a push of any kind below the last pop must throw
+/// without being counted, and pushed() / peak_size() are exact.
 TEST(EventQueue, RandomizedAgainstReferenceOrder) {
   constexpr double kTiny = std::numeric_limits<double>::denorm_min();
   static constexpr SimTime kFixed[] = {-0.0,   0.0,  kTiny, 3 * kTiny,
@@ -94,13 +142,32 @@ TEST(EventQueue, RandomizedAgainstReferenceOrder) {
     for (int round = 0; round < 4; ++round) {
       EventQueue q;
       std::set<std::pair<SimTime, std::uint64_t>> ref;  // (time, insertion)
+      std::vector<std::uint64_t> label;  // what each insertion records
       std::uint64_t pushed = 0;
       std::uint64_t got = 0;
       std::size_t peak = 0;
       SimTime now = 0;
+      std::vector<Probe> probes;
+      for (std::uint64_t k = 0; k < 16; ++k)
+        probes.push_back(probe(got, kResumeLabel | k));
+      const DeliverHook hook = recording_hook(got);
       const auto push = [&](SimTime t) {
         const std::uint64_t id = pushed++;
-        q.push(t, [&got, id] { got = id; });
+        switch (rng.next_below(3)) {
+          case 0:
+            q.push(t, [&got, id] { got = id; });
+            label.push_back(id);
+            break;
+          case 1:
+            // Consecutive resumes use different coroutines.
+            q.push_resume(t, probes[id % probes.size()].h);
+            label.push_back(kResumeLabel | (id % probes.size()));
+            break;
+          default:
+            q.push_deliver(t, static_cast<std::uint32_t>(id));
+            label.push_back(kDeliverLabel | id);
+            break;
+        }
         ref.emplace(t + 0.0, id);
         peak = std::max(peak, ref.size());
       };
@@ -119,8 +186,8 @@ TEST(EventQueue, RandomizedAgainstReferenceOrder) {
         const auto [t, id] = *ref.begin();
         ASSERT_EQ(bits(q.top_time()), bits(t)) << "seed " << seed;
         Event e = q.pop();
-        e.fn();
-        ASSERT_EQ(got, id) << "seed " << seed << " t=" << t;
+        e.run(hook);
+        ASSERT_EQ(got, label[id]) << "seed " << seed << " t=" << t;
         ASSERT_EQ(bits(e.time), bits(t));
         ref.erase(ref.begin());
         now = e.time;
@@ -137,7 +204,10 @@ TEST(EventQueue, RandomizedAgainstReferenceOrder) {
           const SimTime head = q.top_time();
           push(rng.next_below(2) == 0 ? now : now + (head - now) / 2);
         } else if (now > 0) {
-          EXPECT_THROW(q.push(std::nextafter(now, 0.0), [] {}), CheckError);
+          const SimTime early = std::nextafter(now, 0.0);
+          EXPECT_THROW(q.push(early, [] {}), CheckError);
+          EXPECT_THROW(q.push_resume(early, probes[0].h), CheckError);
+          EXPECT_THROW(q.push_deliver(early, 0), CheckError);
         }
         ASSERT_EQ(q.pushed(), pushed);
       }

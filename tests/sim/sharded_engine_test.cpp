@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -98,8 +99,9 @@ TEST(ShardedEngine, BarrierPushBelowHorizonIsRejected) {
 TEST(ShardedEngine, IdenticalResultsAcrossThreadCounts) {
   // Same event program on 1, 2 and 8 workers; per-shard execution logs
   // must match exactly (the engine's determinism contract).
+  // Four assumed cores: workers engage whatever the host.
   auto trace_of = [](int threads) {
-    ShardedEngine eng(4, 7.0, threads);
+    ShardedEngine eng(4, 7.0, threads, 4);
     std::vector<std::vector<double>> per_shard(4);
     for (int s = 0; s < 4; ++s) {
       for (int k = 0; k < 50; ++k) {
@@ -300,7 +302,7 @@ TEST(ShardedEngine, SubWindowResultsIdenticalAcrossThreadCounts) {
   // The thread-count determinism contract again, now with asymmetric
   // cross delays and staging traffic in the mix.
   const auto trace_of = [](int threads) {
-    ShardedEngine eng(3, 4.0, threads);
+    ShardedEngine eng(3, 4.0, threads, 4);
     eng.set_cross_delays({4.0, 9.0, 30.0,   //
                           9.0, 4.0, 12.0,   //
                           30.0, 12.0, 4.0});
@@ -321,6 +323,57 @@ TEST(ShardedEngine, SubWindowResultsIdenticalAcrossThreadCounts) {
   const auto t1 = trace_of(1);
   EXPECT_EQ(t1, trace_of(2));
   EXPECT_EQ(t1, trace_of(3));
+}
+
+/// Delivery log of the typed-entry test, one vector per shard so that
+/// concurrent drains never share one.
+struct DeliveryLog {
+  ShardedEngine* eng;
+  std::vector<std::vector<std::uint32_t>> per_shard;
+};
+
+TEST(ShardedEngine, DeliveryEntriesRunThroughTheHookInOrder) {
+  for (const int threads : {1, 2}) {
+    ShardedEngine eng(2, 10.0, threads, 4);
+    DeliveryLog log{&eng, std::vector<std::vector<std::uint32_t>>(2)};
+    eng.set_deliver_hook({[](void* ctx, std::uint32_t slot) {
+                            auto* l = static_cast<DeliveryLog*>(ctx);
+                            l->per_shard[static_cast<std::size_t>(
+                                             l->eng->current_shard())]
+                                .push_back(slot);
+                          },
+                          &log});
+    eng.deliver_at(3.0, 0, 30);
+    eng.deliver_at(1.0, 0, 10);
+    eng.deliver_at(2.0, 1, 20);
+    bool threw = false;
+    eng.at(1.0, 0, [&eng, &log, &threw]() {
+      // Same time as slot 10, pushed after it: runs after it, and a
+      // delivery it pushes for now runs after it in turn (FIFO ties
+      // across kinds).
+      log.per_shard[0].push_back(11);
+      eng.deliver_at(1.0, 0, 12);
+      try {
+        eng.deliver_at(5.0, 1, 99);  // cross-shard inside a window
+      } catch (const CheckError&) {
+        threw = true;
+      }
+    });
+    eng.run({});
+    EXPECT_EQ(log.per_shard[0], (std::vector<std::uint32_t>{10, 11, 12, 30}));
+    EXPECT_EQ(log.per_shard[1], (std::vector<std::uint32_t>{20}));
+    EXPECT_TRUE(threw);
+    EXPECT_EQ(eng.events_executed(), 5u);
+  }
+}
+
+TEST(ShardedEngine, DeliveryNeedsAHook) {
+  ShardedEngine eng(2, 10.0, 1);
+  EXPECT_THROW(eng.deliver_at(1.0, 0, 0), CheckError);
+}
+
+TEST(ShardedEngine, RejectsNegativeCoreCount) {
+  EXPECT_THROW(ShardedEngine(2, 10.0, 1, -1), CheckError);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/check.h"
@@ -52,6 +53,27 @@ TEST(Simulator, SameTimeEventsRunInScheduleOrder) {
   for (int i = 0; i < 10; ++i) sim.at(1.0, [&order, i] { order.push_back(i); });
   sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(Simulator, DeliveriesRunThroughTheHookInScheduleOrder) {
+  Simulator sim;
+  std::vector<std::uint32_t> order;
+  EXPECT_THROW(sim.deliver_at(1.0, 7), CheckError);  // no hook yet
+  sim.set_deliver_hook({[](void* ctx, std::uint32_t slot) {
+                          static_cast<std::vector<std::uint32_t>*>(ctx)
+                              ->push_back(slot);
+                        },
+                        &order});
+  sim.deliver_at(2.0, 20);
+  sim.deliver_at(1.0, 10);
+  sim.at(1.0, [&] {
+    order.push_back(11);
+    EXPECT_THROW(sim.deliver_at(0.5, 5), CheckError);  // the past
+    sim.deliver_at(1.0, 12);
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{10, 11, 12, 20}));
+  EXPECT_EQ(sim.events_executed(), 4u);
 }
 
 TEST(Simulator, RunBoundedStopsEarly) {
