@@ -1,7 +1,7 @@
 // perf_harness — dependency-free perf-regression harness.
 //
 // Times the simulator's hot paths (event queue, payload merge and copy,
-// route walks, the runtime's message path, one end-to-end run, and the
+// route walks, the runtime's message path, two end-to-end runs, and the
 // analyzer sweep serial vs parallel) with plain steady_clock loops and emits
 // the numbers as JSON.
 // tools/bench_compare.py diffs the output against bench/BENCH_baseline.json
@@ -212,43 +212,17 @@ void bench_end_to_end(Metrics& m, double min_ms) {
         static_cast<double>(last.outcome.events) / (ns / 1e9));
   m.add("end_to_end_brlin_peak_queue_depth",
         static_cast<double>(last.outcome.peak_queue_depth));
-}
 
-void bench_end_to_end_parallel(Metrics& m, double min_ms) {
-  // The acceptance combo of the sharded engine: t3d512 long-message
-  // broadcast, serial loop vs the sharded conservative-window engine at 8
-  // drain workers.  Both events/sec rates gate; the window-efficiency
-  // numbers describe how much concurrency the windows actually exposed
-  // (informational).  On a single-core host the parallel rate reflects
-  // engine overhead, not scaling — the byte-identical-outcome contract is
-  // what the concurrency tests pin down.
-  const auto machine = machine::t3d(512);
-  const auto alg = stop::make_br_lin();
-  const stop::Problem pb =
-      stop::make_problem(machine, dist::Kind::kRandom, 64, 65536, 5);
-
-  stop::RunResult serial;
-  const double serial_ns = time_ns_per_op(min_ms, 1, [&] {
-    serial = stop::run(*alg, pb);
+  // The end-to-end events/s the roadmap tracks: a long-message run on the
+  // 512-node T3D, where queue depth and link contention dominate.
+  const auto t3d = machine::t3d(512);
+  const stop::Problem large =
+      stop::make_problem(t3d, dist::Kind::kRandom, 64, 65536, 5);
+  const double large_ns = time_ns_per_op(min_ms, 1, [&] {
+    last = stop::run(*alg, large);
   });
   m.add("end_to_end_t3d_serial_events_per_sec",
-        static_cast<double>(serial.outcome.events) / (serial_ns / 1e9));
-
-  stop::RunResult par;
-  const double par_ns = time_ns_per_op(min_ms, 1, [&] {
-    par = stop::run(*alg, pb, stop::RunConfig{}.sim_threads(8));
-  });
-  m.add("end_to_end_t3d_par_events_per_sec",
-        static_cast<double>(par.outcome.events) / (par_ns / 1e9));
-  const mp::ParallelStats& ps = par.outcome.par;
-  m.add("par_shards", static_cast<double>(ps.shards));
-  m.add("par_windows", static_cast<double>(ps.windows));
-  const std::uint64_t slots =
-      ps.windows * static_cast<std::uint64_t>(ps.shards);
-  m.add("par_window_busy_frac",
-        slots == 0 ? 0.0
-                   : 1.0 - static_cast<double>(ps.idle_shard_windows) /
-                               static_cast<double>(slots));
+        static_cast<double>(last.outcome.events) / (large_ns / 1e9));
 }
 
 void bench_sweep(Metrics& m, int jobs) {
@@ -320,7 +294,6 @@ int main(int argc, char** argv) {
   bench_routes(m, min_ms);
   bench_message_path(m, min_ms);
   bench_end_to_end(m, min_ms);
-  bench_end_to_end_parallel(m, min_ms);
   bench_sweep(m, jobs);
 
   for (const auto& [name, value] : m.values)

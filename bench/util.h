@@ -31,10 +31,6 @@ static_assert(!stop::RunOptions{}.faults.any(),
 static_assert(!stop::RunOptions{}.link_stats,
               "RunOptions::link_stats must default to off so the network "
               "usage probe stays a null pointer in timed benches");
-static_assert(stop::RunOptions{}.sim_threads == 0,
-              "RunOptions::sim_threads must default to 0 (the classic "
-              "serial loop) so serial benches never pay the sharded "
-              "engine's dispatch");
 
 // The fluent RunConfig builder must lower to exactly the default
 // RunOptions when nothing is configured — benches that migrate to it pay
@@ -43,11 +39,8 @@ static_assert(stop::RunConfig{}.options().verify &&
                   !stop::RunConfig{}.options().trace &&
                   !stop::RunConfig{}.options().record_schedule &&
                   !stop::RunConfig{}.options().link_stats &&
-                  !stop::RunConfig{}.options().faults.any() &&
-                  stop::RunConfig{}.options().sim_threads == 0,
+                  !stop::RunConfig{}.options().faults.any(),
               "RunConfig{} must lower to the all-off default RunOptions");
-static_assert(stop::RunConfig{}.sim_threads(8).options().sim_threads == 8,
-              "RunConfig::sim_threads must lower into RunOptions");
 
 /// Milliseconds for one algorithm/problem pair (single deterministic run —
 /// the simulator has no noise to average away).

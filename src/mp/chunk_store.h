@@ -24,10 +24,10 @@
 //
 // Thread safety is that of std::shared_ptr: one store is not safe to use
 // from two threads at once, but stores sharing a block may be copied,
-// destroyed and detached concurrently (the sharded engine hands payloads
-// across its drain workers).  The count is incremented relaxed and
-// released acquire-release; a store that sees a count of one (acquire)
-// owns the block outright and may write it.
+// destroyed and detached concurrently (a payload has no thread affinity;
+// test_concurrency's ConcurrentPayload checks it).  The count is
+// incremented relaxed and released acquire-release; a store that sees a
+// count of one (acquire) owns the block outright and may write it.
 #pragma once
 
 #include <algorithm>

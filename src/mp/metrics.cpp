@@ -77,17 +77,6 @@ void RankMetrics::finalize() {
   finalized_ = true;
 }
 
-void RankMetrics::remap_phases(const std::vector<int>& to_global) {
-  SPB_CHECK(phases_.size() <= to_global.size());
-  int max_id = -1;
-  for (std::size_t i = 0; i < phases_.size(); ++i)
-    max_id = std::max(max_id, to_global[i]);
-  std::vector<PhaseCounters> remapped(static_cast<std::size_t>(max_id + 1));
-  for (std::size_t i = 0; i < phases_.size(); ++i)
-    remapped[static_cast<std::size_t>(to_global[i])] = phases_[i];
-  phases_ = std::move(remapped);
-}
-
 std::uint32_t RankMetrics::congestion() const {
   std::uint32_t worst = 0;
   for (const auto& it : iters_) worst = std::max(worst, it.sends + it.recvs);

@@ -99,12 +99,6 @@ class RankMetrics {
   /// Closes the trailing iteration; called by the runtime at the end.
   void finalize();
 
-  /// Reindexes the per-phase table: counters recorded under local phase id
-  /// `i` move to global id `to_global[i]`.  Used by the parallel runtime,
-  /// where shards intern phase names independently and the shard-local ids
-  /// must be folded into one canonical table after the run.
-  void remap_phases(const std::vector<int>& to_global);
-
  private:
   IterationCounters& current();
   PhaseCounters& phase_at(int phase);

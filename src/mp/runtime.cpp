@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
-#include "net/regions.h"
 
 namespace spb::mp {
 
@@ -25,7 +23,7 @@ std::vector<Rank> chunk_sources_of(const Payload& p) {
 
 int Comm::size() const { return rt_->size(); }
 
-SimTime Comm::now() const { return rt_->now_us(); }
+SimTime Comm::now() const { return rt_->sim_.now(); }
 
 Bytes Comm::wire_bytes(const Payload& p) const {
   return wire_bytes_for(p.total_bytes(), p.chunk_count());
@@ -82,12 +80,12 @@ void Comm::mark_iteration() { metrics_.mark_iteration(); }
 void Comm::begin_phase(std::string_view name) {
   const int id = rt_->phase_id(name);
   metrics_.phase_begin(id);
-  phase_stack_.push_back(OpenPhase{id, rt_->now_us()});
+  phase_stack_.push_back(OpenPhase{id, rt_->sim_.now()});
   if (rt_->trace_enabled_) {
     TraceEvent e;
     e.kind = TraceEvent::Kind::kPhaseBegin;
     e.rank = rank_;
-    e.begin_us = e.end_us = rt_->now_us();
+    e.begin_us = e.end_us = rt_->sim_.now();
     e.phase = id;
     rt_->trace_.record(e);
   }
@@ -98,7 +96,7 @@ void Comm::end_phase() {
               "rank " << rank_ << ": end_phase() without begin_phase()");
   const OpenPhase open = phase_stack_.back();
   phase_stack_.pop_back();
-  const SimTime now = rt_->now_us();
+  const SimTime now = rt_->sim_.now();
   metrics_.phase_span(open.id, now - open.began);
   if (rt_->trace_enabled_) {
     TraceEvent e;
@@ -115,7 +113,7 @@ void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
   Comm& c = *comm;
   Runtime& rt = *c.rt_;
   const CommParams& cp = rt.params_;
-  const SimTime now = rt.now_us();
+  const SimTime now = rt.sim_.now();
   const Bytes wire = wire_override > 0 ? wire_override : c.wire_bytes(payload);
 
   const int send_op =
@@ -142,29 +140,6 @@ void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
   const SimTime ready =
       now + (cp.send_overhead_us + cp.mpi_extra_us) * rt.slowdown(c.rank_);
 
-  // The one write of the message: every field, the payload moved in.
-  const auto write = [&](Message& m, SimTime arrived_at) {
-    m.src = c.rank_;
-    m.dst = dst;
-    m.tag = tag;
-    m.payload = std::move(payload);
-    m.wire_bytes = wire;
-    m.sent_at = now;
-    m.arrived_at = arrived_at;
-    m.sched_send_op = send_op;
-    m.seq = seq;
-    m.duplicate = false;
-  };
-
-  if (rt.parallel_active()) {
-    // Parallel path: the network model is barrier-only shared state.  Park
-    // the message in the shard's staging buffer; the sequencer reserves in
-    // canonical order and schedules delivery + sender resume — which the
-    // lookahead (ready >= now + window) proves land in a later window.
-    write(rt.stage_send(ready, h), 0);
-    return;
-  }
-
   const net::Transfer t =
       rt.net_.reserve(rt.mapping_.node_of(c.rank_), rt.mapping_.node_of(dst),
                       wire, ready);
@@ -183,10 +158,21 @@ void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
     rt.trace_.record(e);
   }
 
-  // The message goes straight into the in-flight pool, and the delivery
-  // event carries only its slot.
+  // The one write of the message: every field goes straight into the
+  // in-flight pool, the payload moved in, and the delivery event carries
+  // only its slot.
   const std::uint32_t slot = rt.alloc_inflight();
-  write(rt.inflight_[slot], t.arrive);
+  Message& m = rt.inflight_[slot];
+  m.src = c.rank_;
+  m.dst = dst;
+  m.tag = tag;
+  m.payload = std::move(payload);
+  m.wire_bytes = wire;
+  m.sent_at = now;
+  m.arrived_at = t.arrive;
+  m.sched_send_op = send_op;
+  m.seq = seq;
+  m.duplicate = false;
   if (message_faults) {
     // The fault path decides whether this attempt lands, duplicates or is
     // retransmitted; the sender is released at attempt 0's injection time
@@ -204,7 +190,7 @@ void Comm::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
   Comm& c = *comm;
   Runtime& rt = *c.rt_;
   const CommParams& cp = rt.params_;
-  called_at = rt.now_us();
+  called_at = rt.sim_.now();
 
   if (rt.schedule_enabled_)
     sched_op = rt.schedule_.record_recv_post(c.rank_, src, tag);
@@ -212,10 +198,10 @@ void Comm::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
   if (const std::optional<std::uint32_t> hit = c.mailbox_.take(src, tag)) {
     blocked = false;
     slot = *hit;
-    rt.resume_at_rank(
+    rt.sim_.resume_at(
         called_at +
             (cp.recv_overhead_us + cp.mpi_extra_us) * rt.slowdown(c.rank_),
-        c.rank_, h);
+        h);
     return;
   }
   blocked = true;
@@ -244,7 +230,7 @@ Message Comm::RecvAwaiter::await_resume() {
     e.tag = m.tag;
     e.wire_bytes = m.wire_bytes;
     e.begin_us = called_at;
-    e.end_us = rt.now_us();
+    e.end_us = rt.sim_.now();
     e.blocked = blocked;
     e.phase = c.current_phase();
     rt.trace_.record(e);
@@ -255,7 +241,7 @@ Message Comm::RecvAwaiter::await_resume() {
 void Comm::ComputeAwaiter::await_suspend(std::coroutine_handle<> h) {
   Runtime& rt = *comm->rt_;
   const double actual = us * rt.slowdown(comm->rank_);
-  const SimTime now = rt.now_us();
+  const SimTime now = rt.sim_.now();
   comm->metrics_.on_compute(actual, comm->current_phase());
   if (rt.trace_enabled_) {
     TraceEvent e;
@@ -266,7 +252,7 @@ void Comm::ComputeAwaiter::await_suspend(std::coroutine_handle<> h) {
     e.phase = comm->current_phase();
     rt.trace_.record(e);
   }
-  rt.resume_at_rank(now + actual, comm->rank_, h);
+  rt.sim_.resume_at(now + actual, h);
 }
 
 void Comm::MergeAwaiter::await_resume() {
@@ -334,17 +320,7 @@ void Runtime::set_fault_plan(fault::FaultPlanPtr plan) {
 }
 
 std::uint32_t Runtime::alloc_inflight() {
-  if (parallel_active()) {
-    // Barrier-only under the engine: pool growth must be single-threaded.
-    // Scan the per-shard free lists in shard order so slot reuse is
-    // deterministic regardless of which shard freed what.
-    for (std::vector<std::uint32_t>& free : inflight_free_par_) {
-      if (free.empty()) continue;
-      const std::uint32_t slot = free.back();
-      free.pop_back();
-      return slot;
-    }
-  } else if (!inflight_free_.empty()) {
+  if (!inflight_free_.empty()) {
     const std::uint32_t slot = inflight_free_.back();
     inflight_free_.pop_back();
     return slot;
@@ -365,200 +341,19 @@ Message Runtime::take_inflight(std::uint32_t slot) {
   return m;
 }
 
-void Runtime::free_inflight(std::uint32_t slot) {
-  if (parallel_active()) {
-    inflight_free_par_[static_cast<std::size_t>(engine_->current_shard())]
-        .push_back(slot);
-  } else {
-    inflight_free_.push_back(slot);
-  }
-}
-
 int Runtime::phase_id(std::string_view name) {
   SPB_REQUIRE(!name.empty(), "phase names must be non-empty");
   // Runs annotate a handful of phases; a linear scan beats a map here.
-  // Parallel path: interning happens inside concurrent drains, so each
-  // shard keeps its own table (ids are shard-local until run() merges
-  // them via merge_shard_phases).
-  std::vector<std::string>& names =
-      parallel_active()
-          ? phase_names_par_[static_cast<std::size_t>(
-                engine_->current_shard())]
-          : phase_names_;
-  for (std::size_t i = 0; i < names.size(); ++i)
-    if (names[i] == name) return static_cast<int>(i);
-  names.emplace_back(name);
-  return static_cast<int>(names.size() - 1);
-}
-
-void Runtime::enable_parallel(int threads, int cores) {
-  SPB_REQUIRE(!ran_, "enable_parallel() after run()");
-  SPB_REQUIRE(threads >= 1 || threads == -1,
-              "enable_parallel() needs threads >= 1 or -1 for auto (got "
-                  << threads << "); 0 means the serial loop "
-                  << "— simply do not call it");
-  SPB_REQUIRE(cores >= 0, "enable_parallel() needs cores >= 0 (got "
-                              << cores << "); 0 means the host's count");
-  par_threads_ = threads;
-  par_cores_ = cores;
-}
-
-double Runtime::lookahead_us() const {
-  double w = params_.send_overhead_us + params_.mpi_extra_us;
-  if (plan_ != nullptr && plan_->spec().message_faults()) {
-    // Retransmit staging events reserve with ready == their own time, so
-    // their deliveries are only a network-latency floor away; their
-    // retries are a backoff (>= one timeout) away.
-    w = std::min(w, net_.params().alpha_us + net_.params().per_hop_us);
-    w = std::min(w, plan_->spec().retransmit_timeout_us);
-  }
-  return w;
-}
-
-SimTime Runtime::now_us() const {
-  return parallel_active() && engine_->current_shard() >= 0 ? engine_->now()
-                                                           : sim_.now();
-}
-
-void Runtime::sched_at_rank(SimTime t, Rank r, sim::EventFn fn) {
-  if (parallel_active()) {
-    engine_->at(t, shard_of_rank_[static_cast<std::size_t>(r)],
-                std::move(fn));
-  } else {
-    sim_.at(t, std::move(fn));
-  }
-}
-
-void Runtime::resume_at_rank(SimTime t, Rank r, std::coroutine_handle<> h) {
-  if (parallel_active()) {
-    engine_->resume_at(t, shard_of_rank_[static_cast<std::size_t>(r)], h);
-  } else {
-    sim_.resume_at(t, h);
-  }
-}
-
-void Runtime::deliver_at_rank(SimTime t, Rank r, std::uint32_t slot) {
-  if (parallel_active()) {
-    engine_->deliver_at(t, shard_of_rank_[static_cast<std::size_t>(r)], slot);
-  } else {
-    sim_.deliver_at(t, slot);
-  }
-}
-
-Message& Runtime::stage_send(SimTime ready, std::coroutine_handle<> h) {
-  const int shard = engine_->current_shard();
-  StagedXfer& x = staged_[static_cast<std::size_t>(shard)].emplace_back();
-  x.initiate = engine_->now();
-  x.ready = ready;
-  x.h = h;
-  x.kind = StagedXfer::Kind::kSend;
-  engine_->note_stage(engine_->now());
-  return x.msg;
+  for (std::size_t i = 0; i < phase_names_.size(); ++i)
+    if (phase_names_[i] == name) return static_cast<int>(i);
+  phase_names_.emplace_back(name);
+  return static_cast<int>(phase_names_.size() - 1);
 }
 
 void Runtime::sched_retransmit(SimTime t, std::uint32_t slot, int attempt) {
-  if (parallel_active()) {
-    // The staging event lives on the sender's shard (the simulated NIC);
-    // when it fires it parks a request that the next barrier reserves.
-    const Rank src = inflight_[slot].src;
-    engine_->at(t, shard_of_rank_[static_cast<std::size_t>(src)],
-                [this, slot, attempt]() {
-                  StagedXfer x;
-                  x.initiate = engine_->now();
-                  x.ready = x.initiate;
-                  x.slot = slot;
-                  x.attempt = attempt;
-                  x.kind = StagedXfer::Kind::kRetransmit;
-                  staged_[static_cast<std::size_t>(engine_->current_shard())]
-                      .push_back(std::move(x));
-                  engine_->note_stage(engine_->now());
-                });
-  } else {
-    sim_.at(t, [this, slot, attempt]() {
-      retransmit(slot, attempt, sim_.now());
-    });
-  }
-}
-
-void Runtime::sequencer_flush() {
-  // Canonical order: (initiate time, staging shard, staging order) — the
-  // same global order PR 7 produced with a sort, maintained incrementally:
-  // each shard's staging vector is already initiate-ordered (drains are
-  // time-ordered, and a shard's frontier separates the windows), so the
-  // barrier k-way-merges the unconsumed vector tails.  Because per-region
-  // sub-windows let shards drain ahead of each other, a staged transfer
-  // may only be executed once no shard can possibly stage an earlier one
-  // — initiate below the engine's safe horizon; later entries stay parked
-  // (cursor not advanced) for a future barrier, which keeps the reserve
-  // order identical to the serial run's.
-  const SimTime safe = engine_->safe_horizon();
-  const std::size_t shards = staged_.size();
-  for (;;) {
-    std::size_t best = shards;
-    SimTime best_t = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (staged_cursor_[s] >= staged_[s].size()) continue;
-      const SimTime t = staged_[s][staged_cursor_[s]].initiate;
-      if (t >= safe) continue;  // held back for a later barrier
-      if (best == shards || t < best_t) {
-        best = s;
-        best_t = t;
-      }
-    }
-    if (best == shards) break;
-    StagedXfer& x = staged_[best][staged_cursor_[best]++];
-    if (x.kind == StagedXfer::Kind::kSend) {
-      const Rank src = x.msg.src;
-      const Rank dst = x.msg.dst;
-      const Bytes wire = x.msg.wire_bytes;
-      const net::Transfer t = net_.reserve(
-          mapping_.node_of(src), mapping_.node_of(dst), wire, x.ready);
-      x.msg.arrived_at = t.arrive;
-      const std::uint32_t slot = stash_inflight(std::move(x.msg));
-      if (!seq_.empty()) {
-        after_reserve(slot, 0, t);
-      } else {
-        deliver_at_rank(t.arrive, dst, slot);
-      }
-      resume_at_rank(t.inject_done, src, x.h);
-    } else {
-      retransmit(x.slot, x.attempt, x.ready);
-    }
-  }
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (staged_cursor_[s] == staged_[s].size()) {
-      staged_[s].clear();
-      staged_cursor_[s] = 0;
-    }
-  }
-}
-
-void Runtime::merge_shard_phases() {
-  // Canonical global table: shard 0's names in order, then every name a
-  // later shard saw first.  Ranks then remap their shard-local ids.
-  std::vector<std::vector<int>> to_global(phase_names_par_.size());
-  for (std::size_t s = 0; s < phase_names_par_.size(); ++s) {
-    to_global[s].reserve(phase_names_par_[s].size());
-    for (const std::string& name : phase_names_par_[s]) {
-      int id = -1;
-      for (std::size_t g = 0; g < phase_names_.size(); ++g)
-        if (phase_names_[g] == name) {
-          id = static_cast<int>(g);
-          break;
-        }
-      if (id < 0) {
-        phase_names_.push_back(name);
-        id = static_cast<int>(phase_names_.size() - 1);
-      }
-      to_global[s].push_back(id);
-    }
-  }
-  for (Rank r = 0; r < size(); ++r) {
-    const auto shard = static_cast<std::size_t>(
-        shard_of_rank_[static_cast<std::size_t>(r)]);
-    comms_[static_cast<std::size_t>(r)]->metrics_.remap_phases(
-        to_global[shard]);
-  }
+  sim_.at(t, [this, slot, attempt]() {
+    retransmit(slot, attempt, sim_.now());
+  });
 }
 
 void Runtime::after_reserve(std::uint32_t slot, int attempt,
@@ -604,7 +399,7 @@ void Runtime::after_reserve(std::uint32_t slot, int attempt,
                      attempt + 1);
   }
 
-  deliver_at_rank(t.arrive, dst, slot);
+  sim_.deliver_at(t.arrive, slot);
 }
 
 void Runtime::retransmit(std::uint32_t slot, int attempt, SimTime ready) {
@@ -662,10 +457,10 @@ void Runtime::hand_over(std::uint32_t slot) {
       const std::coroutine_handle<> h = p.handle;
       dst.pending_.reset();
       const Rank r = m.dst;
-      resume_at_rank(
-          now_us() +
+      sim_.resume_at(
+          sim_.now() +
               (params_.recv_overhead_us + params_.mpi_extra_us) * slowdown(r),
-          r, h);
+          h);
       return;
     }
   }
@@ -680,75 +475,14 @@ RunOutcome Runtime::run() {
     SPB_REQUIRE(tasks_[static_cast<std::size_t>(r)].valid(),
                 "rank " << r << " has no program");
 
-  // The sharded engine only pays off (and only stays simple) when ranks are
-  // plural, there is positive lookahead, and nothing needs the serial loop's
-  // global event order (tracing and schedule recording both do: their
-  // records interleave across ranks in execution order).  The fallback is
-  // automatic so callers can set sim_threads unconditionally.
-  const double window = lookahead_us();
-  const bool use_par = par_threads_ != 0 && p >= 2 && window > 0 &&
-                       !trace_enabled_ && !schedule_enabled_;
-  if (use_par) {
-    const int nodes = net_.topology().node_count();
-    const int shards = net::region_count(nodes);
-    int threads = par_threads_;
-    if (threads < 0) {
-      // Auto mode: size the pool to the host (capped by the shard count —
-      // more workers than shards can never engage).  The per-window worker
-      // engagement inside the engine then follows live window occupancy.
-      threads = std::clamp(
-          par_cores_ > 0
-              ? par_cores_
-              : static_cast<int>(std::thread::hardware_concurrency()),
-          1, shards);
-    }
-    engine_ = std::make_unique<sim::ShardedEngine>(shards, window, threads,
-                                                   par_cores_);
-    engine_->set_deliver_hook({&Runtime::deliver_hook, this});
-    // Per-region sub-windows: a transfer initiated in region r cannot
-    // produce an event in region s before the sender-side software floor
-    // (zero under message faults — retransmits inject with ready ==
-    // initiate) plus the wire floor over the regions' minimum hop
-    // distance.  The matrix is a pure function of topology and parameters,
-    // so the sub-window plan — like everything else — is thread-count
-    // independent.
-    const net::RegionMap& rmap = net::RegionMap::of(net_.topology(), shards);
-    const bool faulty = plan_ != nullptr && plan_->spec().message_faults();
-    const double base =
-        (faulty ? 0.0 : params_.send_overhead_us + params_.mpi_extra_us) +
-        net_.params().alpha_us;
-    std::vector<double> delays(
-        static_cast<std::size_t>(shards) * static_cast<std::size_t>(shards),
-        window);
-    for (int r = 0; r < shards; ++r)
-      for (int s = 0; s < shards; ++s)
-        if (r != s)
-          delays[static_cast<std::size_t>(r * shards + s)] = std::max(
-              window,
-              base + rmap.min_hops(r, s) * net_.params().per_hop_us);
-    engine_->set_cross_delays(delays);
-    shard_of_rank_.resize(static_cast<std::size_t>(p));
-    for (Rank r = 0; r < p; ++r)
-      shard_of_rank_[static_cast<std::size_t>(r)] =
-          net::region_of_node(mapping_.node_of(r), nodes, shards);
-    staged_.resize(static_cast<std::size_t>(shards));
-    staged_cursor_.assign(static_cast<std::size_t>(shards), 0);
-    inflight_free_par_.resize(static_cast<std::size_t>(shards));
-    phase_names_par_.resize(static_cast<std::size_t>(shards));
-  }
-
   sim_.set_deliver_hook({&Runtime::deliver_hook, this});
   for (Rank r = 0; r < p; ++r) {
-    sched_at_rank(0.0, r, [this, r]() {
+    sim_.at(0.0, [this, r]() {
       tasks_[static_cast<std::size_t>(r)].start(
-          [this, r]() { done_at_[static_cast<std::size_t>(r)] = now_us(); });
+          [this, r]() { done_at_[static_cast<std::size_t>(r)] = sim_.now(); });
     });
   }
-  if (use_par) {
-    engine_->run([this]() { sequencer_flush(); });
-  } else {
-    sim_.run();
-  }
+  sim_.run();
 
   // Surface program exceptions first: a CheckError inside a rank program is
   // more informative than the secondary deadlock it may have caused.
@@ -814,9 +548,6 @@ RunOutcome Runtime::run() {
     }
     c.metrics_.finalize();
   }
-  // Shard-local phase ids (including the leftover spans just closed) fold
-  // into the canonical global table only after every span is recorded.
-  if (use_par) merge_shard_phases();
 
   std::vector<const RankMetrics*> per_rank;
   per_rank.reserve(static_cast<std::size_t>(p));
@@ -830,26 +561,8 @@ RunOutcome Runtime::run() {
   out.link_busy_us.reserve(static_cast<std::size_t>(links));
   for (LinkId l = 0; l < links; ++l)
     out.link_busy_us.push_back(net_.link_busy_us(l));
-  if (use_par) {
-    out.events = engine_->events_executed();
-    out.peak_queue_depth = engine_->peak_queue_depth();
-    const sim::EngineStats es = engine_->stats();
-    out.par.shards = engine_->shard_count();
-    out.par.window_us = engine_->window_us();
-    out.par.lookahead_min_us = engine_->min_cross_delay_us();
-    out.par.lookahead_max_us = engine_->max_cross_delay_us();
-    out.par.windows = es.windows;
-    out.par.idle_shard_windows = es.idle_shard_windows;
-    out.par.staged_xfers = es.staged_xfers;
-    out.par.held_xfers = es.held_xfers;
-    out.par.per_shard.reserve(es.shards.size());
-    for (const sim::ShardStats& s : es.shards)
-      out.par.per_shard.push_back(ParallelStats::Shard{
-          s.events, s.peak_queue_depth, s.busy_windows, s.idle_windows});
-  } else {
-    out.events = sim_.events_executed();
-    out.peak_queue_depth = sim_.peak_queue_depth();
-  }
+  out.events = sim_.events_executed();
+  out.peak_queue_depth = sim_.peak_queue_depth();
   return out;
 }
 

@@ -41,7 +41,6 @@
 #include "mp/trace.h"
 #include "net/mapping.h"
 #include "net/network.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 
@@ -71,31 +70,14 @@ class DeadlockError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Sharded-engine statistics of one run (see Runtime::enable_parallel).
-/// Every field is independent of the worker-thread count — reports built
-/// from it diff clean across SPB_SIM_THREADS settings — so the requested
-/// thread count itself is deliberately absent.
+/// Always empty: the simulator has one event loop.  Kept with only the
+/// fields perfbench/sim_workloads.cpp, its only reader, folds into its
+/// sim_large probe fingerprints.
 struct ParallelStats {
-  /// Region/shard count the event space was partitioned into; 0 means the
-  /// run used the classic serial loop (default, or fallback).
   int shards = 0;
-  /// Self-lookahead: the conservative window floor (Runtime::lookahead_us
-  /// at run time).
-  double window_us = 0;
-  /// Narrowest / widest region-to-region sub-window delay from the
-  /// topology's hop distances (both equal window_us when the machine gives
-  /// no cross-region slack).
-  double lookahead_min_us = 0;
-  double lookahead_max_us = 0;
-  /// Windows executed.
   std::uint64_t windows = 0;
-  /// Shard-window slots that executed nothing (stall measure).
   std::uint64_t idle_shard_windows = 0;
-  /// Cross-shard transfers staged through window barriers over the run.
   std::uint64_t staged_xfers = 0;
-  /// Barrier occurrences of a staged transfer held past the safe horizon
-  /// (sub-window hold-back pressure; each transfer counts once per barrier
-  /// that holds it).
   std::uint64_t held_xfers = 0;
   struct Shard {
     std::uint64_t events = 0;
@@ -104,8 +86,6 @@ struct ParallelStats {
     std::uint64_t idle_windows = 0;
   };
   std::vector<Shard> per_shard;
-
-  bool parallel() const { return shards > 0; }
 };
 
 /// Result of Runtime::run().
@@ -124,7 +104,7 @@ struct RunOutcome {
   /// Comm::begin_phase); rows are indexed by interned phase id and carry
   /// the phase names.
   std::vector<PhaseTotals> phases;
-  /// Sharded-engine statistics (par.parallel() is false for serial runs).
+  /// Always empty; read only by perfbench/sim_workloads.cpp.
   ParallelStats par;
 };
 
@@ -274,6 +254,13 @@ class Runtime {
   Runtime(std::shared_ptr<const net::Topology> topo, net::NetParams net,
           CommParams comm, net::RankMapping mapping);
 
+  /// Every Comm and, once run() starts, the simulator's delivery hook
+  /// point at this object, so a runtime is built in place and stays put.
+  Runtime(const Runtime&) = delete;
+  Runtime& operator=(const Runtime&) = delete;
+  Runtime(Runtime&&) = delete;
+  Runtime& operator=(Runtime&&) = delete;
+
   int size() const { return mapping_.rank_count(); }
   Comm& comm(Rank r);
 
@@ -296,33 +283,6 @@ class Runtime {
   double slowdown(Rank r) const {
     return plan_ == nullptr ? 1.0 : plan_->rank_slowdown(r);
   }
-
-  /// Requests the sharded conservative-window engine (sim/sharded.h) with
-  /// up to `threads` drain workers for run(); `threads == -1` sizes the
-  /// pool automatically from the host's core count (clamped to the shard
-  /// count — per-window engagement then follows the engine's live
-  /// occupancy stats, so idle shards never cost wakeups).  Outcomes are
-  /// byte-identical for every accepted value — the shard partition, the
-  /// per-region sub-window plan, and the barrier's canonical reserve order
-  /// depend only on machine and parameters, never on the worker count.
-  /// run() silently falls back to the classic serial loop when an
-  /// order-sensitive observer is on (tracing, schedule recording), when
-  /// the lookahead collapses to zero (e.g. zero-overhead test fixtures),
-  /// or when p < 2; the fallback decision is itself thread-count
-  /// independent.  `cores` is the core count the engine's worker
-  /// engagement assumes (0 = the host's; see sim::ShardedEngine), so
-  /// tests can engage workers on any host; it never changes outcomes.
-  void enable_parallel(int threads, int cores = 0);
-
-  /// The conservative window width for this runtime's parameters: the
-  /// earliest a cross-region event produced at the window barrier can land
-  /// after its cause.  Sends release nothing before the sender's software
-  /// overhead (send_overhead_us + mpi_extra_us, stragglers only stretch
-  /// it); under message faults, barrier-ordered retransmission also bounds
-  /// the window by the network latency floor (alpha + one hop) and the
-  /// retransmit timeout.  <= 0 means no lookahead: parallel mode falls
-  /// back to the serial loop.
-  double lookahead_us() const;
 
   /// Enables event tracing (before run()); see mp/trace.h.
   void enable_trace() { trace_enabled_ = true; }
@@ -353,11 +313,11 @@ class Runtime {
  private:
   friend class Comm;
 
-  /// The delivery hook of both loops: runs at a message's arrival time
-  /// with its in-flight pool slot.  Fault-run messages (seq >= 0) first
-  /// pass the mailbox's reorder buffer, which suppresses duplicates and
-  /// restores FIFO per (src, dst) despite retransmission; whatever it
-  /// releases goes to hand_over.
+  /// The simulator's delivery hook: runs at a message's arrival time with
+  /// its in-flight pool slot.  Fault-run messages (seq >= 0) first pass the
+  /// mailbox's reorder buffer, which suppresses duplicates and restores
+  /// FIFO per (src, dst) despite retransmission; whatever it releases goes
+  /// to hand_over.
   static void deliver_hook(void* runtime, std::uint32_t slot);
   void deliver(std::uint32_t slot);
   /// Hands arrived message `slot` to its destination's parked receive, or
@@ -367,86 +327,27 @@ class Runtime {
   /// Fault-run send path: decides the fate of one transmission attempt of
   /// the pooled message (delivered, delivered-but-ack-lost, or dropped
   /// with a scheduled retransmit) from the reserved transfer's timing.
-  /// Serial path: runs inline at reserve time.  Parallel path: runs at the
-  /// window barrier only (it touches the network model).
+  /// Runs inline at reserve time.
   void after_reserve(std::uint32_t slot, int attempt, const net::Transfer& t);
+  /// Schedules transmission attempt `attempt` of the pooled message in
+  /// `slot` at time t.
+  void sched_retransmit(SimTime t, std::uint32_t slot, int attempt);
   /// Re-injects a pooled message for transmission attempt `attempt`,
-  /// ready to inject at `ready`.  Parallel path: barrier only.
+  /// ready to inject at `ready`.
   void retransmit(std::uint32_t slot, int attempt, SimTime ready);
 
   // In-flight message pool.  A message is written into a slot once, when
   // its send is reserved, and stays there — through delivery, the fault
   // reorder buffer and the mailbox, which all pass the slot around —
   // until the receive's await_resume moves it out.  Slots are reused.
-  // Allocation grows the pool, so under the engine it is barrier-only.
   std::uint32_t alloc_inflight();
   std::uint32_t stash_inflight(Message msg);
   /// Moves the message out of `slot` and frees the slot.
   Message take_inflight(std::uint32_t slot);
-  /// Frees `slot`; under the engine into the executing shard's free list,
-  /// so frees inside a window never share a list.
-  void free_inflight(std::uint32_t slot);
+  void free_inflight(std::uint32_t slot) { inflight_free_.push_back(slot); }
 
-  /// Interns a phase name.  Serial path: runtime-wide, so ids agree across
-  /// ranks.  Parallel path: per-shard tables (interning from concurrent
-  /// drains must not share state); run() merges them into the canonical
-  /// runtime-wide table and remaps every rank's metrics.
+  /// Interns a phase name runtime-wide, so ids agree across ranks.
   int phase_id(std::string_view name);
-
-  // --- parallel engine plumbing (see sim/sharded.h) ---------------------
-  //
-  // The network model is zero-lookahead shared state: reserve() claims
-  // whole paths globally and its results depend on reservation *order*.
-  // Shards therefore never call it.  A send (or retransmit) event only
-  // stages a transfer request into its shard's staging vector; the window
-  // barrier — single-threaded, all drains quiescent — executes every
-  // staged reserve in the canonical (initiate time, staging shard,
-  // staging order) order and schedules the resulting delivery and
-  // sender-resume events into the next window, which the lookahead
-  // guarantees they cannot precede.
-
-  /// One staged transfer request (per-shard SPSC: written by the shard's
-  /// drain inside the window, consumed by the barrier).
-  struct StagedXfer {
-    /// Time of the staging event — the canonical order's major key.
-    SimTime initiate = 0;
-    /// Earliest injection time passed to NetworkModel::reserve.
-    SimTime ready = 0;
-    /// kSend: the message (moved into the in-flight pool at the barrier,
-    /// where pool growth is single-threaded).
-    Message msg;
-    /// kRetransmit: in-flight pool slot of the stashed message.
-    std::uint32_t slot = 0;
-    /// kRetransmit: transmission attempt number.
-    int attempt = 0;
-    /// kSend: sender coroutine, resumed at injection completion.
-    std::coroutine_handle<> h;
-    enum class Kind : std::uint8_t { kSend, kRetransmit };
-    Kind kind = Kind::kSend;
-  };
-
-  bool parallel_active() const { return engine_ != nullptr; }
-  /// Clock of the calling context: the draining shard's clock under the
-  /// engine, the global simulator clock otherwise.
-  SimTime now_us() const;
-  /// Schedules fn at t on rank r's home shard (parallel) or the simulator
-  /// (serial).
-  void sched_at_rank(SimTime t, Rank r, sim::EventFn fn);
-  /// Typed forms: resume h, or deliver in-flight message `slot`, at t on
-  /// rank r's home shard (parallel) or the simulator (serial).
-  void resume_at_rank(SimTime t, Rank r, std::coroutine_handle<> h);
-  void deliver_at_rank(SimTime t, Rank r, std::uint32_t slot);
-  /// Schedules a retransmit-staging event for the pooled message in slot
-  /// `slot` at time t (barrier context under the engine).
-  void sched_retransmit(SimTime t, std::uint32_t slot, int attempt);
-  /// Stages a send request from the current drain (parallel path only)
-  /// and returns its message for the caller to fill.
-  Message& stage_send(SimTime ready, std::coroutine_handle<> h);
-  /// The window barrier: executes all staged requests in canonical order.
-  void sequencer_flush();
-  /// Merges the per-shard phase tables into phase_names_ and remaps every
-  /// rank's shard-local phase ids to the canonical ones.
-  void merge_shard_phases();
 
   sim::Simulator sim_;
   net::NetworkModel net_;
@@ -466,24 +367,6 @@ class Runtime {
   std::vector<std::string> phase_names_;
   bool schedule_enabled_ = false;
   Schedule schedule_;
-
-  // Parallel-engine state; all empty/null on the serial path (the default),
-  // so serial runs pay nothing beyond a null check per dispatch.
-  int par_threads_ = 0;  // 0 = serial loop; -1 = auto-size from the host
-  int par_cores_ = 0;    // 0 = the host's core count
-  std::unique_ptr<sim::ShardedEngine> engine_;
-  std::vector<int> shard_of_rank_;
-  std::vector<std::vector<StagedXfer>> staged_;  // indexed by shard
-  /// Consumed prefix of each staging vector: entries initiated at or past
-  /// the engine's safe horizon stay parked across barriers (sub-window
-  /// hold-back) until the horizon passes them.
-  std::vector<std::size_t> staged_cursor_;
-  /// Per-shard in-flight free lists: a receive (or a discarded duplicate)
-  /// frees its slot into the executing shard's list (no shared mutation
-  /// inside a window); the barrier's allocation scans them in shard order
-  /// (deterministic reuse).
-  std::vector<std::vector<std::uint32_t>> inflight_free_par_;
-  std::vector<std::vector<std::string>> phase_names_par_;  // per shard
 };
 
 }  // namespace spb::mp

@@ -140,40 +140,6 @@ void write_links(JsonWriter& w, const net::LinkUsageProbe& usage,
   w.end_object();
 }
 
-void write_parallel(JsonWriter& w, const mp::ParallelStats& ps) {
-  // Every field here is worker-thread-count independent (see
-  // mp::ParallelStats), so reports diff clean across SPB_SIM_THREADS.
-  w.key("parallel");
-  w.begin_object();
-  w.field("shards", static_cast<std::int64_t>(ps.shards));
-  w.field("window_us", ps.window_us, 3);
-  w.field("lookahead_min_us", ps.lookahead_min_us, 3);
-  w.field("lookahead_max_us", ps.lookahead_max_us, 3);
-  w.field("windows", ps.windows);
-  w.field("idle_shard_windows", ps.idle_shard_windows);
-  w.field("staged_xfers", ps.staged_xfers);
-  w.field("held_xfers", ps.held_xfers);
-  const std::uint64_t slots =
-      ps.windows * static_cast<std::uint64_t>(ps.shards);
-  w.field("window_efficiency",
-          slots == 0 ? 0.0
-                     : 1.0 - static_cast<double>(ps.idle_shard_windows) /
-                                 static_cast<double>(slots),
-          4);
-  w.key("per_shard");
-  w.begin_array();
-  for (const mp::ParallelStats::Shard& s : ps.per_shard) {
-    w.begin_object();
-    w.field("events", s.events);
-    w.field("peak_queue_depth", s.peak_queue_depth);
-    w.field("busy_windows", s.busy_windows);
-    w.field("idle_windows", s.idle_windows);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
 void write_planner(JsonWriter& w, const PlannerSection& ps) {
   w.key("planner");
   w.begin_object();
@@ -233,7 +199,6 @@ void write_run_report(std::ostream& os, const ReportContext& ctx,
   write_phases(w, result.outcome.phases);
   if (result.link_usage.link_space() > 0)
     write_links(w, result.link_usage, topo);
-  if (result.outcome.par.parallel()) write_parallel(w, result.outcome.par);
   if (planner != nullptr) write_planner(w, *planner);
   w.end_object();
   os << "\n";

@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/check.h"

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -132,8 +131,7 @@ struct Event {
   std::uint64_t word = 0;
 
   /// Runs the event: resumes the coroutine, hands the message slot to
-  /// `deliver`, or calls fn.  The one dispatch of Simulator::step and
-  /// ShardedEngine::drain.
+  /// `deliver`, or calls fn.  The one dispatch of Simulator::step.
   void run(const DeliverHook& deliver);
 };
 
@@ -148,8 +146,8 @@ struct Event {
 ///
 /// Push contract: every push, of any kind, needs t >= the time of the
 /// last pop (a smaller key would be filed in the wrong bucket).  The
-/// Simulator and ShardedEngine scheduling calls already guarantee it; the
-/// pushes enforce it.
+/// Simulator's scheduling calls already guarantee it; the pushes enforce
+/// it.
 ///
 /// Ties stay FIFO without a sequence number, across all three kinds:
 /// equal keys always share a bucket, pushes append, and redistribution is
@@ -178,15 +176,6 @@ class EventQueue {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-
-  /// Timestamp of the earliest pending event without popping it (queue
-  /// must be non-empty).  O(1) and never moves the reference key, so a
-  /// caller may peek and then push anywhere between the last pop and the
-  /// peeked head — the sharded engine does exactly that.
-  SimTime top_time() const {
-    return std::bit_cast<SimTime>(
-        !buckets_[0].empty() ? last_ : min_[std::countr_zero(mask_) + 1]);
-  }
 
   /// Total number of events ever pushed.
   std::uint64_t pushed() const { return pushed_; }

@@ -28,7 +28,6 @@ RunResult run(const Algorithm& algorithm, const Problem& problem,
         options.faults, options.fault_seed,
         problem.machine.topology->link_space(), problem.p()));
   }
-  if (options.sim_threads != 0) rt.enable_parallel(options.sim_threads);
 
   result.final_payloads.assign(static_cast<std::size_t>(problem.p()),
                                mp::Payload{});

@@ -53,16 +53,6 @@ struct RunOptions {
   /// Off by default — the network hot path must stay probe-free in timed
   /// benches (bench/util statically asserts this).
   bool link_stats = false;
-  /// Worker threads for the sharded conservative-window simulation engine
-  /// (see mp::Runtime::enable_parallel).  0 — the default, statically
-  /// asserted by bench/util — keeps the classic serial loop; >= 1 requests
-  /// the sharded engine with that worker cap; -1 requests it with an
-  /// auto-sized pool (host core count, clamped to the shard count, with
-  /// per-window engagement driven by live window occupancy).  The outcome
-  /// is byte-identical for every non-zero value, and the engine falls back
-  /// to serial automatically when tracing or schedule recording is on,
-  /// p < 2, or the lookahead is zero.
-  int sim_threads = 0;
 };
 
 /// Fluent alternative to aggregate-initializing RunOptions — reads better
@@ -103,10 +93,9 @@ class RunConfig {
     opts_.fault_seed = seed;
     return *this;
   }
-  constexpr RunConfig& sim_threads(int threads) {
-    opts_.sim_threads = threads;
-    return *this;
-  }
+  /// Changes nothing: the simulator has one event loop.  Kept only for
+  /// perfbench/sim_workloads.cpp, its only caller.
+  constexpr RunConfig& sim_threads(int /*threads*/) { return *this; }
 
   constexpr const RunOptions& options() const { return opts_; }
   // NOLINTNEXTLINE(google-explicit-constructor): lowering is the point

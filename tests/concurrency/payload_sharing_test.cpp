@@ -1,9 +1,9 @@
 // Thread safety of shared payload storage (mp/chunk_store.h).
 //
-// Payload copies share one reference-counted block, and the sharded engine
-// moves payloads between its drain workers, so copies of one payload are
-// taken, read and dropped on several threads at once while another thread
-// detaches its own copy by merging into it.  Under TSan this is the race
+// Payload copies share one reference-counted block, and a payload has no
+// thread affinity, so here copies of one payload are taken, read and
+// dropped on several threads at once while another thread detaches its
+// own copy by merging into it.  Under TSan this is the race
 // check for the count and for the detach; on any build it checks that no
 // thread ever sees the shared chunks change.
 #include <gtest/gtest.h>

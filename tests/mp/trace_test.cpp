@@ -11,7 +11,8 @@
 namespace spb::mp {
 namespace {
 
-Runtime traced_runtime(int p) {
+/// Built in place and returned as a prvalue: a Runtime never moves.
+Runtime line_runtime(int p) {
   net::NetParams np;
   np.alpha_us = 1.0;
   np.per_hop_us = 0.1;
@@ -19,10 +20,8 @@ Runtime traced_runtime(int p) {
   CommParams cp;
   cp.send_overhead_us = 2.0;
   cp.recv_overhead_us = 3.0;
-  Runtime rt(std::make_shared<net::LinearArray>(p), np, cp,
-             net::RankMapping::identity(p));
-  rt.enable_trace();
-  return rt;
+  return Runtime(std::make_shared<net::LinearArray>(p), np, cp,
+                 net::RankMapping::identity(p));
 }
 
 sim::Task sender(Comm& comm, Rank dst) {
@@ -35,7 +34,8 @@ sim::Task receiver(Comm& comm, Rank src) {
 }
 
 TEST(Trace, RecordsSendRecvCompute) {
-  Runtime rt = traced_runtime(2);
+  Runtime rt = line_runtime(2);
+  rt.enable_trace();
   rt.spawn(0, sender(rt.comm(0), 1));
   rt.spawn(1, receiver(rt.comm(1), 0));
   rt.run();
@@ -79,7 +79,8 @@ TEST(Trace, DisabledByDefault) {
 }
 
 TEST(Trace, TimelineMarksPhases) {
-  Runtime rt = traced_runtime(2);
+  Runtime rt = line_runtime(2);
+  rt.enable_trace();
   rt.spawn(0, sender(rt.comm(0), 1));
   rt.spawn(1, receiver(rt.comm(1), 0));
   rt.run();

@@ -86,39 +86,6 @@ TEST(RunReport, PhaseTableIsNonEmptyAndConsistent) {
   EXPECT_EQ(phase_recvs, p.result.outcome.metrics.total_recvs);
 }
 
-TEST(RunReport, ParallelSectionCarriesPerShardStats) {
-  const auto machine = machine::paragon(8, 8);
-  const stop::Problem pb =
-      stop::make_problem(machine, dist::Kind::kEqual, 4, 1024);
-  const stop::RunResult r =
-      stop::run(*stop::make_br_lin(), pb, stop::RunConfig{}.sim_threads(2));
-  ASSERT_TRUE(r.outcome.par.parallel());
-  ReportContext ctx;
-  ctx.algorithm = "Br_Lin";
-  ctx.machine = machine.name;
-  ctx.distribution = "E";
-  ctx.sources = 4;
-  ctx.message_bytes = 1024;
-  ctx.p = machine.p;
-  std::ostringstream os;
-  write_run_report(os, ctx, r, machine.topology.get());
-  const std::string json = os.str();
-  EXPECT_TRUE(parses(json)) << json;
-  for (const char* key :
-       {"\"parallel\":", "\"shards\":", "\"window_us\":", "\"windows\":",
-        "\"idle_shard_windows\":", "\"window_efficiency\":",
-        "\"per_shard\":", "\"busy_windows\":", "\"peak_queue_depth\":"}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
-  // One per-shard entry per region; "events" appears in each.
-  std::size_t entries = 0;
-  for (std::size_t at = json.find("\"busy_windows\":");
-       at != std::string::npos;
-       at = json.find("\"busy_windows\":", at + 1))
-    ++entries;
-  EXPECT_EQ(entries, static_cast<std::size_t>(r.outcome.par.shards));
-}
-
 TEST(RunReport, ParallelSectionOmittedForSerialRuns) {
   const auto machine = machine::paragon(2, 2);
   const stop::Problem pb =

@@ -12,16 +12,30 @@ TEST(RunConfig, DefaultLowersToDefaultRunOptions) {
   constexpr RunOptions lowered = RunConfig{};
   static_assert(lowered.verify && !lowered.trace && !lowered.record_schedule &&
                 !lowered.link_stats);
-  static_assert(lowered.sim_threads == 0,
-                "serial loop must stay the default");
   EXPECT_FALSE(lowered.faults.any());
   EXPECT_EQ(lowered.fault_seed, RunOptions{}.fault_seed);
 }
 
-TEST(RunConfig, SimThreadsLowersIntoRunOptions) {
-  constexpr RunOptions o = RunConfig{}.sim_threads(8);
-  static_assert(o.sim_threads == 8);
-  EXPECT_TRUE(o.verify);  // orthogonal knobs untouched
+TEST(RunConfig, SimThreadsChangesNothing) {
+  // perfbench's sim_large probe fingerprints runs made through
+  // sim_threads(n) and relies on them equalling the default run.
+  const auto machine = machine::paragon(6, 6);
+  const Problem pb = make_problem(machine, dist::Kind::kRandom, 9, 4096, 3);
+  const auto alg = make_br_lin();
+  const RunResult plain = run(*alg, pb);
+  const RunResult threaded = run(*alg, pb, RunConfig{}.sim_threads(8));
+  EXPECT_EQ(threaded.time_us, plain.time_us);
+  EXPECT_EQ(threaded.outcome.events, plain.outcome.events);
+  const mp::RunMetrics& a = threaded.outcome.metrics;
+  const mp::RunMetrics& b = plain.outcome.metrics;
+  EXPECT_EQ(a.congestion, b.congestion);
+  EXPECT_EQ(a.max_waits, b.max_waits);
+  EXPECT_EQ(a.max_send_recv, b.max_send_recv);
+  EXPECT_EQ(a.av_msg_lgth, b.av_msg_lgth);
+  EXPECT_EQ(a.av_act_proc, b.av_act_proc);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_TRUE(threaded.outcome.par.per_shard.empty());
+  EXPECT_EQ(threaded.outcome.par.windows, 0u);
 }
 
 TEST(RunConfig, FluentChainsSetEveryKnob) {

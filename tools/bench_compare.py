@@ -18,16 +18,7 @@ but a NEW-METRIC notice on stderr tells the author to re-baseline, after
 which the metric is gated like any other.  --fail-on-new upgrades the
 notice to a failure for CI legs that require a complete baseline.
 
-Baseline-relative gates are useless for claims about the *current* host
-("sharded beats serial"), which depend on its core count, not on history.
---ratio-gate NUM/DEN>=X gates on the ratio of two metrics of the current
-run alone: it fails when current[NUM] / current[DEN] < X.  Repeatable.
-CI's multi-core perf leg uses it to require the sharded engine to at
-least match the serial loop; the hosted 1-core leg must not.
-
   bench_compare.py baseline.json current.json [--max-regress 1.5]
-  bench_compare.py base.json cur.json \
-      --ratio-gate end_to_end_t3d_par_events_per_sec/end_to_end_t3d_serial_events_per_sec>=1.0
 """
 
 import argparse
@@ -71,52 +62,6 @@ def load_metrics(path: str, role: str) -> dict:
     return metrics
 
 
-def parse_ratio_gate(spec: str) -> tuple:
-    """Parses "num_metric/den_metric>=threshold" into its three parts,
-    exiting with a one-line usage error on malformed input."""
-    try:
-        metrics, threshold = spec.split(">=", 1)
-        num, den = metrics.split("/", 1)
-        num, den = num.strip(), den.strip()
-        if not num or not den:
-            raise ValueError("empty metric name")
-        return num, den, float(threshold)
-    except ValueError as e:
-        sys.exit(
-            f"bench_compare: bad --ratio-gate {spec!r}"
-            f" (want NUM_METRIC/DEN_METRIC>=THRESHOLD): {e}"
-        )
-
-
-def check_ratio_gates(cur: dict, gates: list) -> list:
-    """Evaluates --ratio-gate specs against the current run's metrics;
-    returns failure strings (missing metrics or a zero denominator fail
-    loudly — a gate that cannot be evaluated must not pass silently)."""
-    failures = []
-    for num, den, threshold in gates:
-        missing = [m for m in (num, den) if m not in cur]
-        if missing:
-            failures.append(
-                f"ratio gate {num}/{den}: metric(s) missing from the"
-                f" current run: {', '.join(missing)}"
-            )
-            continue
-        if cur[den] == 0:
-            failures.append(f"ratio gate {num}/{den}: denominator is zero")
-            continue
-        ratio = cur[num] / cur[den]
-        verdict = "ok" if ratio >= threshold else "FAILED"
-        print(
-            f"ratio gate {num}/{den} = {ratio:.3f}"
-            f" (need >= {threshold:g})  {verdict}"
-        )
-        if ratio < threshold:
-            failures.append(
-                f"ratio gate {num}/{den} = {ratio:.3f} < {threshold:g}"
-            )
-    return failures
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
@@ -133,17 +78,7 @@ def main() -> int:
         help="treat gateable metrics missing from the baseline as failures"
         " (for CI legs that require a fully re-baselined BENCH file)",
     )
-    ap.add_argument(
-        "--ratio-gate",
-        action="append",
-        default=[],
-        metavar="NUM/DEN>=X",
-        help="fail when current[NUM] / current[DEN] < X; compares two"
-        " metrics of the current run (host-relative, baseline-free);"
-        " repeatable",
-    )
     args = ap.parse_args()
-    ratio_gates = [parse_ratio_gate(spec) for spec in args.ratio_gate]
     if args.max_regress < 1.0:
         ap.error("--max-regress must be >= 1.0")
 
@@ -195,8 +130,6 @@ def main() -> int:
             print(f"  {name}", file=sys.stderr)
         if args.fail_on_new:
             failures.extend(f"{name}: not in baseline" for name in unbaselined)
-
-    failures.extend(check_ratio_gates(cur, ratio_gates))
 
     if failures:
         print(f"\n{len(failures)} metric(s) regressed:", file=sys.stderr)

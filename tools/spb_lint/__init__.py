@@ -1,8 +1,8 @@
 """spb_lint — determinism lint for the S-to-P broadcasting codebase.
 
-Source-level invariants that keep simulated runs bit-reproducible, the
-road to intra-run parallelism safe and coroutines alive (see DESIGN.md
-§11).  Nine rules:
+Source-level invariants that keep simulated runs bit-reproducible,
+concurrent runs race-free and coroutines alive (see DESIGN.md §11).
+Nine rules:
 
 U1 unordered-iteration   Range-for over a std::unordered_map/unordered_set
                          variable.  Iteration order is unspecified and
@@ -26,11 +26,12 @@ U4 flag-static-asserts   Every zero-cost feature flag (RunOptions{}.trace,
                          covered by a static_assert proving it defaults to
                          off, so a stray default never taxes the hot path.
 U5 mutable-global-state  Mutable static / namespace-scope state in src/sim,
-                         src/net or src/mp.  The sharded engine drains
-                         those hot paths on several worker threads, so
-                         shared mutable state is a data race and a
+                         src/net or src/mp.  SweepRunner jobs and serve
+                         workers running `execute` drive one simulation
+                         each through those paths, several at once, so
+                         state shared across runs is a data race and a
                          determinism leak.  Make it const, std::atomic,
-                         per-shard, or annotate with
+                         owned by the run, or annotate with
                          NOLINT(spb-mutable-global): <rationale>.
 U6 registry-catalogue    Every machine-registry entry
                          (entries_.push_back({...}) in

@@ -11,12 +11,12 @@ DETERMINISTIC_DIRS = ("src/sim/", "src/mp/", "src/plan/")
 
 # Zero-cost feature flags that must be proven default-off somewhere in the
 # scanned tree (they live in bench/util.h; .faults uses .any()).
-REQUIRED_FLAG_ASSERTS = ("trace", "record_schedule", "link_stats", "faults",
-                         "sim_threads")
+REQUIRED_FLAG_ASSERTS = ("trace", "record_schedule", "link_stats", "faults")
 
-# Directories whose hot paths may run on several drain workers at once
-# (the sharded engine, see sim/sharded.h): mutable static or
-# namespace-scope state there is a data race and a determinism leak.
+# Directories whose code runs on several threads at once, one simulation
+# per thread (SweepRunner jobs, serve workers running `execute`): mutable
+# static or namespace-scope state there is a data race across runs and a
+# determinism leak.
 SHARD_SAFE_DIRS = ("src/sim/", "src/net/", "src/mp/")
 
 UNORDERED_DECL = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
@@ -201,15 +201,16 @@ def _suppressed_for(raw: str, text: str, idx: int, category: str) -> bool:
 
 
 def check_mutable_static_state(path: Path, raw: str, text: str) -> list[str]:
-    """U5: mutable static / namespace-scope state in shard-visible code.
+    """U5: mutable static / namespace-scope state in simulator code.
 
-    The sharded engine (sim/sharded.h) drains src/sim, src/mp and src/net
-    hot paths on several worker threads inside a window.  Any static or
-    namespace-scope variable they touch is therefore shared mutable state:
-    a data race and — because update order would depend on thread timing —
-    a determinism leak.  Such state must be immutable (const/constexpr),
-    std::atomic, per-shard (owned by a shard-indexed structure), or carry
-    an explicit NOLINT(spb-mutable-global): <rationale> annotation.
+    SweepRunner jobs and serve workers running `execute` each drive one
+    simulation through src/sim, src/mp and src/net, several at once on
+    different threads.  Any static or namespace-scope variable those paths
+    touch is therefore state shared across runs: a data race and — because
+    one run would see another's updates in thread-timing order — a
+    determinism leak.  Such state must be immutable (const/constexpr),
+    std::atomic, owned by the run, or carry an explicit
+    NOLINT(spb-mutable-global): <rationale> annotation.
     """
     posix = path.as_posix()
     if not any(d in posix for d in SHARD_SAFE_DIRS):
@@ -227,9 +228,9 @@ def check_mutable_static_state(path: Path, raw: str, text: str) -> list[str]:
             continue
         findings.append(
             f"{path}:{line_of(text, m.start())}: [mutable-global-state] "
-            f"mutable static/namespace-scope state reachable from the "
-            f"sharded engine's concurrent drains — make it const, "
-            f"std::atomic, per-shard, or annotate the line with "
+            f"mutable static/namespace-scope state shared by concurrent "
+            f"runs (SweepRunner jobs, serve workers) — make it const, "
+            f"std::atomic, owned by the run, or annotate the line with "
             f"NOLINT(spb-mutable-global): <why it is race-free>")
     return findings
 

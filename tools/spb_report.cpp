@@ -1,11 +1,11 @@
 // spb_report — one run, one JSON report.
 //
-// Runs any algorithm x distribution x machine combination with tracing and
-// link accounting on, and emits a single machine-readable run report:
-// timing, the paper's Figure-2 metrics, fault counters, the per-phase
-// breakdown and a link-utilization histogram.  Optionally also exports the
-// full Chrome-trace timeline (load it at https://ui.perfetto.dev) and an
-// ASCII link heatmap.
+// Runs any algorithm x distribution x machine combination with link
+// accounting on, and emits a single machine-readable run report: timing,
+// the paper's Figure-2 metrics, fault counters, the per-phase breakdown
+// and a link-utilization histogram.  Optionally also records and exports
+// the full Chrome-trace timeline (load it at https://ui.perfetto.dev) and
+// prints an ASCII link heatmap.
 //
 //   spb_report --machine paragon8x8 --dist R --sources 8 --len 1024 \
 //              --algo two_step --chrome-trace t.json
@@ -44,7 +44,6 @@ struct Options {
   std::string out;           // report path ("" = stdout)
   std::string chrome_trace;  // "" = no export
   bool heatmap = false;
-  int sim_threads = 0;  // 0 = serial; >= 1 = sharded; -1 = sharded auto
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -61,12 +60,6 @@ struct Options {
       << "  --seed N         seed for the Rand distribution (default 1)\n"
       << "  --faults [SEED:]SPEC   deterministic fault injection\n"
       << "                   (e.g. 42:drop=0.1,straggle=1x3)\n"
-      << "  --sim-threads N  drain workers for the sharded simulation\n"
-      << "                   engine (default 0 = serial loop; any N >= 1\n"
-      << "                   yields byte-identical reports; -1 auto-sizes\n"
-      << "                   the pool to the host's cores; disables\n"
-      << "                   tracing, so not combinable with\n"
-      << "                   --chrome-trace)\n"
       << "  --out FILE       write the JSON report here (default stdout)\n"
       << "  --chrome-trace FILE    also export the Perfetto/Chrome trace\n"
       << "  --heatmap        print an ASCII link heatmap to stderr\n"
@@ -97,13 +90,6 @@ Options parse(int argc, char** argv) {
     } else if (a == "--faults") {
       o.faults = fault::parse_seeded(next(i), "--faults ([SEED:]SPEC)",
                                      o.faults.seed);
-    } else if (a == "--sim-threads") {
-      const std::string v = next(i);
-      if (v == "-1") {
-        o.sim_threads = -1;  // auto: parse_u64 rejects the sign
-      } else {
-        o.sim_threads = parse_int_or_throw("--sim-threads", v);
-      }
     } else if (a == "--out") {
       o.out = next(i);
     } else if (a == "--chrome-trace") {
@@ -141,20 +127,14 @@ int run_cli(int argc, char** argv) {
   const stop::Problem problem =
       stop::make_problem(machine, kind, s, opt.len, opt.seed);
 
-  // The sharded engine needs no global event order, but tracing does — so
-  // a parallel report runs without the trace (link accounting is fine:
-  // reserves happen at the single-threaded window barrier only).
-  SPB_REQUIRE(opt.sim_threads == 0 || opt.chrome_trace.empty(),
-              "--chrome-trace needs the serial loop's tracing; drop "
-              "--sim-threads or the trace export");
-  stop::RunConfig cfg;
-  cfg.link_stats().faults(opt.faults.spec, opt.faults.seed);
-  if (opt.sim_threads != 0) {
-    cfg.sim_threads(opt.sim_threads);
-  } else {
-    cfg.trace();
-  }
-  const stop::RunResult result = stop::run(*algorithm, problem, cfg);
+  // The report never reads the trace, and tracing does not change the
+  // run, so only the trace export records one.
+  const stop::RunResult result = stop::run(
+      *algorithm, problem,
+      stop::RunConfig{}
+          .link_stats()
+          .faults(opt.faults.spec, opt.faults.seed)
+          .trace(!opt.chrome_trace.empty()));
 
   obs::ReportContext ctx;
   ctx.algorithm = algorithm->name();
