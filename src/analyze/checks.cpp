@@ -1,9 +1,9 @@
 #include "analyze/checks.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
+#include <span>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "analyze/graph.h"
@@ -18,8 +18,6 @@ namespace spb::analyze {
 namespace {
 
 using mp::ScheduleOp;
-
-std::string op_location(const ScheduleOp& op) { return op.to_string(); }
 
 /// Re-derives the send/recv matching into `graph` from filters alone,
 /// honouring FIFO per (src, dst, tag) channel.  Recorded match edges only
@@ -74,7 +72,7 @@ void derive_matching(ScheduleGraph& graph, std::vector<Violation>& out) {
         v.step = recv.step;
         v.tag = recv.tag;
         std::ostringstream os;
-        os << "no send satisfies " << op_location(recv)
+        os << "no send satisfies " << sched.describe(recv)
            << " — the program hangs here";
         v.message = os.str();
         out.push_back(std::move(v));
@@ -94,9 +92,9 @@ void derive_matching(ScheduleGraph& graph, std::vector<Violation>& out) {
         v.step = recv.step;
         v.tag = send.tag;
         std::ostringstream os;
-        os << op_location(recv) << " received " << recv.wire_bytes
-           << "B but its matched send (" << op_location(send) << ") carries "
-           << send.wire_bytes << "B";
+        os << sched.describe(recv) << " received " << recv.wire_bytes
+           << "B but its matched send (" << sched.describe(send)
+           << ") carries " << send.wire_bytes << "B";
         v.message = os.str();
         out.push_back(std::move(v));
       }
@@ -114,7 +112,7 @@ void derive_matching(ScheduleGraph& graph, std::vector<Violation>& out) {
     v.tag = op.tag;
     std::ostringstream os;
     os << "no receive on rank " << op.peer << " ever consumes "
-       << op_location(op) << " — redundant or mis-tagged traffic";
+       << sched.describe(op) << " — redundant or mis-tagged traffic";
     v.message = os.str();
     out.push_back(std::move(v));
   }
@@ -177,6 +175,69 @@ std::string AnalysisReport::to_string(int max_report) const {
   return os.str();
 }
 
+LinkConflicts worst_link_conflicts(const mp::Schedule& sched,
+                                   std::span<const int> level,
+                                   const net::Topology& topology,
+                                   const net::RankMapping& mapping) {
+  const auto& ops = sched.ops();
+  const auto level_of = [&level](const ScheduleOp& op) {
+    return static_cast<std::size_t>(level[static_cast<std::size_t>(op.id)]);
+  };
+  // The sends grouped by level, in op-id order within a level (a
+  // counting sort), so one flat per-link counter serves a level at a time.
+  std::size_t levels = 0;
+  for (const ScheduleOp& op : ops)
+    if (op.is_send()) levels = std::max(levels, level_of(op) + 1);
+  std::vector<int> begin(levels + 1, 0);
+  for (const ScheduleOp& op : ops)
+    if (op.is_send()) ++begin[level_of(op) + 1];
+  for (std::size_t l = 0; l < levels; ++l) begin[l + 1] += begin[l];
+  std::vector<int> by_level(static_cast<std::size_t>(begin[levels]));
+  {
+    std::vector<int> fill(begin.begin(), begin.end() - 1);
+    for (const ScheduleOp& op : ops)
+      if (op.is_send())
+        by_level[static_cast<std::size_t>(fill[level_of(op)]++)] = op.id;
+  }
+
+  // Per level: its hottest link's count and the first op (in id order) to
+  // reach it.  Over the levels, the maximum's level is that of the first
+  // op to reach it, as if every send were counted in id order.
+  LinkConflicts out;
+  int first_op = std::numeric_limits<int>::max();
+  std::vector<int> count(static_cast<std::size_t>(topology.link_space()), 0);
+  std::vector<LinkId> touched;
+  std::vector<LinkId> path;
+  for (std::size_t l = 0; l < levels; ++l) {
+    int level_max = 0;
+    int level_first = -1;
+    for (int k = begin[l]; k < begin[l + 1]; ++k) {
+      const ScheduleOp& op = ops[static_cast<std::size_t>(
+          by_level[static_cast<std::size_t>(k)])];
+      topology.route_into(mapping.node_of(op.rank), mapping.node_of(op.peer),
+                          path);
+      for (const LinkId link : path) {
+        int& c = count[static_cast<std::size_t>(link)];
+        if (c++ == 0) touched.push_back(link);
+        if (c > level_max) {
+          level_max = c;
+          level_first = op.id;
+        }
+      }
+    }
+    if (level_max > out.max ||
+        (level_max == out.max && level_max > 0 && level_first < first_op)) {
+      out.max = level_max;
+      out.level = static_cast<int>(l);
+      first_op = level_first;
+    }
+    for (const LinkId link : touched)
+      count[static_cast<std::size_t>(link)] = 0;
+    touched.clear();
+  }
+  return out;
+}
+
 AnalysisReport analyze_schedule(const mp::Schedule& sched,
                                 const stop::Problem& pb,
                                 const AnalysisOptions& options) {
@@ -203,20 +264,34 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
     std::ostringstream os;
     os << "wait-for cycle of " << cycle.size() << " op(s):";
     for (const int id : cycle)
-      os << "\n      " << op_location(ops[static_cast<std::size_t>(id)]);
+      os << "\n      " << sched.describe(sched.op(id));
     os << "\n      ... back to the first op";
     v.message = os.str();
     report.violations.push_back(std::move(v));
   }
 
   // ---- 3. chunk conservation -----------------------------------------
-  std::vector<char> is_source(static_cast<std::size_t>(pb.p()), 0);
-  for (const Rank s : pb.sources) is_source[static_cast<std::size_t>(s)] = 1;
+  const int p = pb.p();
+  // Rank -> index into pb.sources, -1 for a rank that is not a source.
+  std::vector<int> source_index(static_cast<std::size_t>(p), -1);
+  for (std::size_t i = 0; i < pb.sources.size(); ++i)
+    source_index[static_cast<std::size_t>(pb.sources[i])] =
+        static_cast<int>(i);
+  const auto is_source = [&](Rank c) {
+    return c >= 0 && c < p && source_index[static_cast<std::size_t>(c)] >= 0;
+  };
 
+  // Recorded chunk lists are sorted (payloads keep their chunks in source
+  // order); only a hand-made or mutated list is copied and sorted.
+  std::vector<Rank> unsorted;
   for (const ScheduleOp& op : ops) {
     if (!op.is_send()) continue;
-    std::vector<Rank> sorted = op.chunk_sources;
-    std::sort(sorted.begin(), sorted.end());
+    std::span<const Rank> sorted = sched.chunk_sources(op);
+    if (!std::is_sorted(sorted.begin(), sorted.end())) {
+      unsorted.assign(sorted.begin(), sorted.end());
+      std::sort(unsorted.begin(), unsorted.end());
+      sorted = unsorted;
+    }
     for (std::size_t i = 0; i < sorted.size(); ++i) {
       const Rank c = sorted[i];
       if (i > 0 && sorted[i - 1] == c) {
@@ -227,13 +302,13 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
         v.step = op.step;
         v.tag = op.tag;
         std::ostringstream os;
-        os << op_location(op) << " carries the chunk of source " << c
+        os << sched.describe(op) << " carries the chunk of source " << c
            << " more than once in a single message";
         v.message = os.str();
         report.violations.push_back(std::move(v));
         break;
       }
-      if (c < 0 || c >= pb.p() || is_source[static_cast<std::size_t>(c)] == 0) {
+      if (!is_source(c)) {
         Violation v;
         v.kind = Violation::Kind::kUnknownSource;
         v.op = op.id;
@@ -241,7 +316,7 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
         v.step = op.step;
         v.tag = op.tag;
         std::ostringstream os;
-        os << op_location(op) << " carries a chunk of rank " << c
+        os << sched.describe(op) << " carries a chunk of rank " << c
            << ", which is not a source of this problem";
         v.message = os.str();
         report.violations.push_back(std::move(v));
@@ -251,21 +326,25 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
 
   // Held-chunk propagation in dependency order: a rank may only send what
   // it started with or already received; deliveries of already-held
-  // chunks are the redundancy metric.
-  std::vector<std::vector<char>> held(
-      static_cast<std::size_t>(pb.p()),
-      std::vector<char>(static_cast<std::size_t>(pb.p()), 0));
-  for (const Rank s : pb.sources)
-    held[static_cast<std::size_t>(s)][static_cast<std::size_t>(s)] = 1;
+  // chunks are the redundancy metric.  held[r * p + c]: rank r holds the
+  // chunk of source c.
+  std::vector<char> held(static_cast<std::size_t>(p) *
+                             static_cast<std::size_t>(p),
+                         0);
+  const auto holdings = [&](Rank r) {
+    return held.data() +
+           static_cast<std::size_t>(r) * static_cast<std::size_t>(p);
+  };
+  for (const Rank s : pb.sources) holdings(s)[s] = 1;
 
   std::size_t provenance_reported = 0;
   for (const int id : topo) {
     const ScheduleOp& op = ops[static_cast<std::size_t>(id)];
-    auto& mine = held[static_cast<std::size_t>(op.rank)];
+    char* const mine = holdings(op.rank);
     if (op.is_send()) {
-      for (const Rank c : op.chunk_sources) {
-        if (c < 0 || c >= pb.p()) continue;  // already an unknown-source
-        if (mine[static_cast<std::size_t>(c)]) continue;
+      for (const Rank c : sched.chunk_sources(op)) {
+        if (c < 0 || c >= p) continue;  // already an unknown-source
+        if (mine[c]) continue;
         if (provenance_reported++ < 64) {
           Violation v;
           v.kind = Violation::Kind::kProvenance;
@@ -274,7 +353,7 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
           v.step = op.step;
           v.tag = op.tag;
           std::ostringstream os;
-          os << op_location(op) << " ships the chunk of source " << c
+          os << sched.describe(op) << " ships the chunk of source " << c
              << " which rank " << op.rank
              << " has neither originated nor received by step " << op.step;
           v.message = os.str();
@@ -284,30 +363,27 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
     } else {
       const int sid = graph.source_of(id);
       if (sid < 0) continue;  // unmatched: already reported
-      const ScheduleOp& send = ops[static_cast<std::size_t>(sid)];
-      for (const Rank c : send.chunk_sources) {
-        if (c < 0 || c >= pb.p()) continue;
-        auto& flag = mine[static_cast<std::size_t>(c)];
-        if (flag) {
-          ++report.quality.redundant_chunk_deliveries;
-          // Attribute the redundant bytes by looking the chunk size up.
-          for (std::size_t i = 0; i < pb.sources.size(); ++i)
-            if (pb.sources[i] == c)
-              report.quality.redundant_payload_bytes += pb.bytes_of_source(i);
-        } else {
-          flag = 1;
+      for (const Rank c : sched.chunk_sources(sched.op(sid))) {
+        if (c < 0 || c >= p) continue;
+        if (!mine[c]) {
+          mine[c] = 1;
+          continue;
         }
+        ++report.quality.redundant_chunk_deliveries;
+        if (const int i = source_index[static_cast<std::size_t>(c)]; i >= 0)
+          report.quality.redundant_payload_bytes +=
+              pb.bytes_of_source(static_cast<std::size_t>(i));
       }
     }
   }
 
   // Coverage: every rank must end up holding every source's chunk.
   std::size_t coverage_reported = 0;
-  for (Rank r = 0; r < pb.p(); ++r) {
-    std::vector<Rank> missing;
+  std::vector<Rank> missing;
+  for (Rank r = 0; r < p; ++r) {
+    missing.clear();
     for (const Rank s : pb.sources)
-      if (!held[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)])
-        missing.push_back(s);
+      if (!holdings(r)[s]) missing.push_back(s);
     if (missing.empty()) continue;
     if (coverage_reported++ >= 64) continue;
     Violation v;
@@ -355,23 +431,10 @@ AnalysisReport analyze_schedule(const mp::Schedule& sched,
   for (const int l : level) q.message_rounds = std::max(q.message_rounds, l);
 
   if (pb.machine.topology) {
-    const net::Topology& topo_net = *pb.machine.topology;
-    const net::RankMapping& mapping = pb.machine.mapping;
-    // conflicts[level][link] would be huge; count per level on the fly.
-    std::map<int, std::unordered_map<LinkId, int>> per_level;
-    for (const ScheduleOp& op : ops) {
-      if (!op.is_send()) continue;
-      const NodeId a = mapping.node_of(op.rank);
-      const NodeId b = mapping.node_of(op.peer);
-      auto& counts = per_level[level[static_cast<std::size_t>(op.id)]];
-      for (const LinkId l : topo_net.route(a, b)) {
-        const int c = ++counts[l];
-        if (c > q.max_link_conflicts) {
-          q.max_link_conflicts = c;
-          q.worst_conflict_level = level[static_cast<std::size_t>(op.id)];
-        }
-      }
-    }
+    const LinkConflicts worst = worst_link_conflicts(
+        sched, level, *pb.machine.topology, pb.machine.mapping);
+    q.max_link_conflicts = worst.max;
+    q.worst_conflict_level = worst.level;
   }
 
   if (options.max_step_slack > 0 && q.round_lower_bound > 0 &&

@@ -26,11 +26,14 @@
 //     schedule quality surface here before any benchmark moves.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
 #include "mp/schedule.h"
+#include "net/mapping.h"
+#include "net/topology.h"
 #include "stop/problem.h"
 
 namespace spb::analyze {
@@ -110,6 +113,23 @@ struct AnalysisReport {
   /// quality table.
   std::string to_string(int max_report = 16) const;
 };
+
+/// Worst same-level link contention of a schedule's sends.
+struct LinkConflicts {
+  /// Most same-level sends whose routes cross one directed link (0 when
+  /// no send crosses a link).
+  int max = 0;
+  /// Level of the first send, in op-id order, to bring a link to `max`
+  /// (-1 when `max` is 0).
+  int level = -1;
+};
+
+/// Counts, per message level (`level[id]`, ScheduleGraph::message_levels),
+/// the sends routed over each directed link of `topology` under `mapping`.
+LinkConflicts worst_link_conflicts(const mp::Schedule& schedule,
+                                   std::span<const int> level,
+                                   const net::Topology& topology,
+                                   const net::RankMapping& mapping);
 
 /// Runs all static checks on a recorded (or mutated) schedule.
 AnalysisReport analyze_schedule(const mp::Schedule& schedule,

@@ -19,17 +19,49 @@ ScheduleGraph::ScheduleGraph(const mp::Schedule& schedule)
   source_.assign(ops.size(), -1);
   consumer_.assign(ops.size(), -1);
 
+  // The sends in (dst, src, tag, id) order.  Two stable counting sorts
+  // over the sends in id order, by src and then by dst, leave each
+  // (dst, src) run in id order; a run that mixes tags (rare: two ranks
+  // mostly talk on one tag) is then stably sorted by tag.
+  const auto p = static_cast<std::size_t>(schedule.rank_count());
+  std::vector<int> by_id;
   for (const mp::ScheduleOp& op : ops)
-    if (op.is_send()) sends_.push_back(op.id);
-  const auto send_key = [&ops](int id) {
-    const mp::ScheduleOp& op = ops[static_cast<std::size_t>(id)];
-    return std::tie(op.peer, op.rank, op.tag, op.id);
+    if (op.is_send()) by_id.push_back(op.id);
+  std::vector<int> count(p + 1);
+  const auto counting_sort = [&](const std::vector<int>& in,
+                                 std::vector<int>& out, auto key) {
+    std::fill(count.begin(), count.end(), 0);
+    for (const int id : in) ++count[key(id) + 1];
+    for (std::size_t k = 0; k < p; ++k) count[k + 1] += count[k];
+    out.resize(in.size());
+    for (const int id : in)
+      out[static_cast<std::size_t>(count[key(id)]++)] = id;
   };
-  std::sort(sends_.begin(), sends_.end(),
-            [&](int a, int b) { return send_key(a) < send_key(b); });
+  const auto op_of = [&ops](int id) -> const mp::ScheduleOp& {
+    return ops[static_cast<std::size_t>(id)];
+  };
+  std::vector<int> by_src;
+  counting_sort(by_id, by_src, [&](int id) {
+    return static_cast<std::size_t>(op_of(id).rank);
+  });
+  counting_sort(by_src, sends_, [&](int id) {
+    return static_cast<std::size_t>(op_of(id).peer);
+  });
+  const auto same_pair = [&](int a, int b) {
+    return op_of(a).peer == op_of(b).peer && op_of(a).rank == op_of(b).rank;
+  };
+  const auto by_tag = [&](int a, int b) {
+    return op_of(a).tag < op_of(b).tag;
+  };
+  for (auto run = sends_.begin(); run != sends_.end();) {
+    auto end = run + 1;
+    while (end != sends_.end() && same_pair(*run, *end)) ++end;
+    if (!std::is_sorted(run, end, by_tag)) std::stable_sort(run, end, by_tag);
+    run = end;
+  }
 
   for (std::size_t i = 0; i < sends_.size(); ++i) {
-    const mp::ScheduleOp& op = ops[static_cast<std::size_t>(sends_[i])];
+    const mp::ScheduleOp& op = op_of(sends_[i]);
     const Channel c{op.rank, op.peer, op.tag};
     if (channels_.empty() || key_of(channels_.back()) != key_of(c)) {
       channels_.push_back(c);

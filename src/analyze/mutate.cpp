@@ -56,7 +56,9 @@ const std::vector<Mutation>& all_mutations() {
 MutationResult apply_mutation(const mp::Schedule& schedule, Mutation m,
                               std::uint64_t seed) {
   const auto& ops = schedule.ops();
-  std::vector<ScheduleOp> mutated(ops.begin(), ops.end());
+  std::vector<mp::OpDraft> mutated;
+  mutated.reserve(ops.size());
+  for (const ScheduleOp& op : ops) mutated.push_back(schedule.draft(op.id));
   MutationResult out;
   std::ostringstream desc;
 
@@ -67,7 +69,7 @@ MutationResult apply_mutation(const mp::Schedule& schedule, Mutation m,
         if (op.is_send() && op.match >= 0) candidates.push_back(op.id);
       const int id = pick(candidates, seed, "drop-send");
       out.target_op = id;
-      desc << "dropped " << ops[static_cast<std::size_t>(id)].to_string();
+      desc << "dropped " << schedule.describe(schedule.op(id));
       mutated.erase(mutated.begin() + id);
       break;
     }
@@ -82,22 +84,23 @@ MutationResult apply_mutation(const mp::Schedule& schedule, Mutation m,
       }
       const int id = pick(candidates, seed, "tag-mismatch");
       out.target_op = id;
-      ScheduleOp& op = mutated[static_cast<std::size_t>(id)];
-      desc << "retagged " << op.to_string() << " to tag " << kBogusTag;
-      op.tag = kBogusTag;
+      desc << "retagged " << schedule.describe(schedule.op(id)) << " to tag "
+           << kBogusTag;
+      mutated[static_cast<std::size_t>(id)].tag = kBogusTag;
       break;
     }
     case Mutation::kDuplicateChunk: {
       std::vector<int> candidates;
       for (const ScheduleOp& op : ops)
-        if (op.is_send() && !op.chunk_sources.empty())
+        if (op.is_send() && op.chunk_count > 0)
           candidates.push_back(op.id);
       const int id = pick(candidates, seed, "dup-chunk");
       out.target_op = id;
-      ScheduleOp& op = mutated[static_cast<std::size_t>(id)];
-      desc << "duplicated chunk of source " << op.chunk_sources.front()
-           << " inside " << op.to_string();
-      op.chunk_sources.push_back(op.chunk_sources.front());
+      std::vector<Rank>& chunks =
+          mutated[static_cast<std::size_t>(id)].chunk_sources;
+      desc << "duplicated chunk of source " << chunks.front() << " inside "
+           << schedule.describe(schedule.op(id));
+      chunks.push_back(chunks.front());
       break;
     }
     case Mutation::kCyclicWait: {
@@ -143,7 +146,7 @@ MutationResult apply_mutation(const mp::Schedule& schedule, Mutation m,
           if (mutated[i].id == move_id) from = i;
           if (mutated[i].id == before_id) to = i;
         }
-        ScheduleOp op = std::move(mutated[from]);
+        mp::OpDraft op = std::move(mutated[from]);
         mutated.erase(mutated.begin() + static_cast<std::ptrdiff_t>(from));
         if (from < to) --to;
         mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(to),
@@ -151,8 +154,8 @@ MutationResult apply_mutation(const mp::Schedule& schedule, Mutation m,
       };
       move_before(c.r1, c.s1);
       if (c.s2 < c.r2) move_before(c.r2, c.s2);
-      desc << "reordered " << ops[static_cast<std::size_t>(c.r1)].to_string()
-           << " ahead of " << ops[static_cast<std::size_t>(c.s1)].to_string()
+      desc << "reordered " << schedule.describe(schedule.op(c.r1))
+           << " ahead of " << schedule.describe(schedule.op(c.s1))
            << (c.s2 < c.r2 ? " (both exchange sides)" : "")
            << " to close a circular wait";
       break;

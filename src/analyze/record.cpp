@@ -37,7 +37,7 @@ RecordedRun record_run(const stop::Algorithm& algorithm,
   } catch (const CheckError& e) {
     out.failure = e.what();
   }
-  out.schedule = rt.schedule();
+  out.schedule = rt.take_schedule();
   return out;
 }
 

@@ -65,17 +65,21 @@ std::vector<std::int32_t> Rng::permutation(std::int32_t n) {
 std::vector<std::int32_t> Rng::sample_without_replacement(std::int32_t n,
                                                           std::int32_t k) {
   SPB_REQUIRE(0 <= k && k <= n, "sample needs 0 <= k <= n");
-  // Floyd's algorithm: k iterations, no O(n) scratch permutation.
+  // Floyd's algorithm: k iterations, the picks marked in an n-bit table.
   std::vector<std::int32_t> out;
   out.reserve(static_cast<std::size_t>(k));
+  std::vector<std::uint64_t> taken((static_cast<std::size_t>(n) + 63) / 64);
+  const auto word = [&taken](std::int32_t v) -> std::uint64_t& {
+    return taken[static_cast<std::size_t>(v) / 64];
+  };
+  const auto bit = [](std::int32_t v) { return std::uint64_t{1} << (v % 64); };
   for (std::int32_t j = n - k; j < n; ++j) {
     const auto t = static_cast<std::int32_t>(next_below(
         static_cast<std::uint64_t>(j) + 1));
-    if (std::find(out.begin(), out.end(), t) == out.end()) {
-      out.push_back(t);
-    } else {
-      out.push_back(j);
-    }
+    // Every earlier pick is below j, so j is free whenever t is taken.
+    const std::int32_t pick = (word(t) & bit(t)) != 0 ? j : t;
+    word(pick) |= bit(pick);
+    out.push_back(pick);
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -8,17 +8,6 @@
 
 namespace spb::mp {
 
-namespace {
-
-std::vector<Rank> chunk_sources_of(const Payload& p) {
-  std::vector<Rank> srcs;
-  srcs.reserve(p.chunk_count());
-  for (const Chunk& c : p.chunks()) srcs.push_back(c.source);
-  return srcs;
-}
-
-}  // namespace
-
 // ----------------------------------------------------------------- Comm
 
 int Comm::size() const { return rt_->size(); }
@@ -118,24 +107,16 @@ void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
 
   const int send_op =
       rt.schedule_enabled_
-          ? rt.schedule_.record_send(c.rank_, dst, tag, wire,
-                                     chunk_sources_of(payload),
-                                     payload.total_bytes())
+          ? rt.schedule_.record_send(c.rank_, dst, tag, wire, payload)
           : -1;
 
   c.metrics_.on_send(wire, c.current_phase());
 
   // Message faults need a per-(src, dst) sequence number for duplicate
-  // suppression; seq_ is only sized when the plan asks for them.
-  const bool message_faults = !rt.seq_.empty();
+  // suppression, counted per destination this sender actually uses.
+  const bool message_faults = rt.message_faults_;
   std::int32_t seq = -1;
-  if (message_faults) {
-    std::uint32_t& next =
-        rt.seq_[static_cast<std::size_t>(c.rank_) *
-                    static_cast<std::size_t>(rt.size()) +
-                static_cast<std::size_t>(dst)];
-    seq = static_cast<std::int32_t>(next++);
-  }
+  if (message_faults) seq = static_cast<std::int32_t>(c.next_seq_[dst]++);
 
   const SimTime ready =
       now + (cp.send_overhead_us + cp.mpi_extra_us) * rt.slowdown(c.rank_);
@@ -216,8 +197,7 @@ Message Comm::RecvAwaiter::await_resume() {
   Message m = rt.take_inflight(slot);
   if (rt.schedule_enabled_ && sched_op >= 0) {
     rt.schedule_.record_recv_match(sched_op, m.sched_send_op, m.wire_bytes,
-                                   chunk_sources_of(m.payload),
-                                   m.payload.total_bytes());
+                                   m.payload);
   }
   c.metrics_.on_recv(m.wire_bytes, blocked,
                      blocked ? m.arrived_at - called_at : 0.0,
@@ -310,13 +290,7 @@ void Runtime::set_fault_plan(fault::FaultPlanPtr plan) {
   SPB_REQUIRE(!ran_, "set_fault_plan() after run()");
   plan_ = plan;
   net_.set_fault_plan(std::move(plan));
-  if (plan_ != nullptr && plan_->spec().message_faults()) {
-    seq_.assign(static_cast<std::size_t>(size()) *
-                    static_cast<std::size_t>(size()),
-                0);
-  } else {
-    seq_.clear();
-  }
+  message_faults_ = plan_ != nullptr && plan_->spec().message_faults();
 }
 
 std::uint32_t Runtime::alloc_inflight() {
@@ -482,7 +456,15 @@ RunOutcome Runtime::run() {
           [this, r]() { done_at_[static_cast<std::size_t>(r)] = sim_.now(); });
     });
   }
-  sim_.run();
+  // The recording is over however the loop ends: index it either way, so
+  // a failed run leaves a readable schedule too.
+  try {
+    sim_.run();
+  } catch (...) {
+    schedule_.index_ranks();
+    throw;
+  }
+  schedule_.index_ranks();
 
   // Surface program exceptions first: a CheckError inside a rank program is
   // more informative than the secondary deadlock it may have caused.

@@ -29,6 +29,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -245,6 +247,10 @@ class Comm {
     std::coroutine_handle<> handle;
   };
   std::optional<PendingRecv> pending_;
+
+  /// Fault runs with message faults: next sequence number per destination
+  /// this rank has sent to.
+  std::unordered_map<Rank, std::uint32_t> next_seq_;
 };
 
 class Runtime {
@@ -304,6 +310,8 @@ class Runtime {
   void enable_schedule_recording();
   bool schedule_recording() const { return schedule_enabled_; }
   const Schedule& schedule() const { return schedule_; }
+  /// Moves the recorded schedule out (after run()), leaving an empty one.
+  Schedule take_schedule() { return std::exchange(schedule_, Schedule()); }
 
   sim::Simulator& simulator() { return sim_; }
   const net::NetworkModel& network() const { return net_; }
@@ -358,9 +366,8 @@ class Runtime {
   std::vector<SimTime> done_at_;
   std::vector<Message> inflight_;
   std::vector<std::uint32_t> inflight_free_;
-  fault::FaultPlanPtr plan_;      // null = no faults
-  std::vector<std::uint32_t> seq_;  // next seq per (src * p + dst); empty
-                                    // unless the plan has message faults
+  fault::FaultPlanPtr plan_;  // null = no faults
+  bool message_faults_ = false;  // the plan numbers messages per (src, dst)
   bool ran_ = false;
   bool trace_enabled_ = false;
   Trace trace_;

@@ -44,7 +44,7 @@ RunResult run(const Algorithm& algorithm, const Problem& problem,
   result.outcome = rt.run();
   result.time_us = result.outcome.makespan_us;
   if (options.trace) result.trace = rt.trace();
-  if (options.record_schedule) result.schedule = rt.schedule();
+  if (options.record_schedule) result.schedule = rt.take_schedule();
 
   if (options.verify) {
     const VerifyResult v = verify_broadcast(problem, result.final_payloads);

@@ -38,9 +38,9 @@ struct RunOptions {
   /// Record a full communication trace into RunResult::trace.
   bool trace = false;
   /// Record the symbolic send/recv schedule into RunResult::schedule.
-  /// Off by default: recording allocates per operation, and timed bench
-  /// runs must not pay that overhead (bench/util statically asserts the
-  /// default stays off).
+  /// Off by default: recording writes every operation into the schedule,
+  /// and timed bench runs must not pay that overhead (bench/util
+  /// statically asserts the default stays off).
   bool record_schedule = false;
   /// Fault injection: when any knob of the spec is set, a deterministic
   /// FaultPlan seeded with `fault_seed` is built for the problem's machine

@@ -201,7 +201,7 @@ DeadlockCheck check_deadlock_free(const mp::Schedule& schedule) {
   std::ostringstream os;
   os << "wait-for cycle of " << out.cycle.size() << " ops:";
   for (int id : out.cycle) {
-    os << "\n  " << ops[static_cast<std::size_t>(id)].to_string();
+    os << "\n  " << schedule.describe(schedule.op(id));
   }
   out.message = os.str();
   return out;

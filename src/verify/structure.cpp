@@ -33,7 +33,7 @@ std::string filter_str(Rank src_filter, int tag_filter) {
 bool sends_contained(const mp::Schedule& schedule, const Segment& seg,
                      const std::set<Rank>& allowed) {
   for (int sid : seg.send_ids) {
-    for (Rank c : schedule.op(sid).chunk_sources) {
+    for (Rank c : schedule.chunk_sources(schedule.op(sid))) {
       if (!allowed.contains(c)) return false;
     }
   }
@@ -86,7 +86,7 @@ Structure extract_structure(const mp::Schedule& schedule,
 
   auto delivery_of = [&](int recv_id) {
     std::set<Rank> d;
-    for (Rank c : ops[static_cast<std::size_t>(recv_id)].chunk_sources) {
+    for (Rank c : schedule.chunk_sources(schedule.op(recv_id))) {
       d.insert(c);
     }
     return d;
@@ -198,7 +198,7 @@ Structure extract_structure(const mp::Schedule& schedule,
       if (!is_wildcard(op)) {
         close_pool();
         items.push_back({Item::Kind::kPinnedRecv, id, -1});
-        for (Rank c : op.chunk_sources) held.insert(c);
+        for (Rank c : schedule.chunk_sources(op)) held.insert(c);
         continue;
       }
       // Wildcard receive: extend the open pool or start a new one.

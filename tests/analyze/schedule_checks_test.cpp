@@ -2,16 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "analyze/record.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "machine/config.h"
 #include "mp/mailbox.h"
 #include "mp/schedule.h"
+#include "net/mapping.h"
+#include "net/topology.h"
 #include "schedule_fixtures.h"
 #include "stop/algorithm.h"
 #include "stop/problem.h"
@@ -24,7 +30,6 @@ namespace {
 
 using fixtures::recv_op;
 using fixtures::send_op;
-using mp::ScheduleOp;
 
 stop::Problem two_rank_problem(std::vector<Rank> sources = {0, 1}) {
   return stop::make_problem(machine::paragon(1, 2), std::move(sources),
@@ -84,7 +89,7 @@ TEST(AnalyzeChecks, UnreceivedSendReportsLostTraffic) {
 }
 
 TEST(AnalyzeChecks, SizeMismatchBetweenMatchedPair) {
-  ScheduleOp recv = recv_op(1, 1, 0, 0);
+  mp::OpDraft recv = recv_op(1, 1, 0, 0);
   recv.completed = true;
   recv.match = 0;
   recv.wire_bytes = 999;  // recorded arrival disagrees with the send
@@ -183,6 +188,82 @@ TEST(AnalyzeChecks, RecordedTwoStepRunPassesAllChecks) {
   EXPECT_GE(report.quality.message_rounds,
             report.quality.round_lower_bound);
   EXPECT_GT(report.quality.total_payload_bytes, 0u);
+}
+
+/// The link-conflict count as a map of per-level hash maps over fresh
+/// routes, every send counted in op-id order: the reference the flat
+/// per-level counters must reproduce, worst level included.
+/// `levels_at_max` gets the number of levels whose hottest link reaches
+/// the maximum (ties when above 1).
+LinkConflicts map_based_conflicts(const mp::Schedule& sched,
+                                  const std::vector<int>& level,
+                                  const net::Topology& topo,
+                                  const net::RankMapping& mapping,
+                                  int& levels_at_max) {
+  LinkConflicts out;
+  std::map<int, std::unordered_map<LinkId, int>> per_level;
+  std::map<int, int> level_max;
+  for (const mp::ScheduleOp& op : sched.ops()) {
+    if (!op.is_send()) continue;
+    const int l = level[static_cast<std::size_t>(op.id)];
+    auto& counts = per_level[l];
+    for (const LinkId link :
+         topo.route(mapping.node_of(op.rank), mapping.node_of(op.peer))) {
+      const int c = ++counts[link];
+      level_max[l] = std::max(level_max[l], c);
+      if (c > out.max) {
+        out.max = c;
+        out.level = l;
+      }
+    }
+  }
+  levels_at_max = 0;
+  for (const auto& [l, m] : level_max)
+    if (m == out.max) ++levels_at_max;
+  return out;
+}
+
+TEST(AnalyzeChecks, FlatLinkConflictsMatchTheMapBasedCount) {
+  // Small meshes, few levels and many sends make ties common: several
+  // levels reach the same maximum, and only the first op to reach it
+  // decides the level.
+  Rng rng(2024);
+  int tied = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int rows = 1 + static_cast<int>(rng.next_below(4));
+    const int cols = 2 + static_cast<int>(rng.next_below(4));
+    const int p = rows * cols;
+    const net::Mesh2D mesh(rows, cols);
+    const net::RankMapping mapping =
+        trial % 2 == 0 ? net::RankMapping::identity(p)
+                       : net::RankMapping::random(p, p, rng.next_u64());
+    const int n = static_cast<int>(rng.next_below(40));
+    std::vector<mp::OpDraft> ops;
+    for (int id = 0; id < n; ++id) {
+      const auto src = static_cast<Rank>(rng.next_below(
+          static_cast<std::uint64_t>(p)));
+      auto dst = static_cast<Rank>(rng.next_below(
+          static_cast<std::uint64_t>(p - 1)));
+      if (dst >= src) ++dst;
+      ops.push_back(rng.next_below(4) == 0 ? recv_op(id, dst, src, 0)
+                                           : send_op(id, src, dst, 0, 8,
+                                                     {src}, 4));
+    }
+    const mp::Schedule sched = mp::Schedule::from_ops(p, std::move(ops));
+    std::vector<int> level(sched.size());
+    const std::uint64_t levels = 1 + rng.next_below(4);
+    for (int& l : level) l = static_cast<int>(rng.next_below(levels));
+
+    int levels_at_max = 0;
+    const LinkConflicts want =
+        map_based_conflicts(sched, level, mesh, mapping, levels_at_max);
+    const LinkConflicts got =
+        worst_link_conflicts(sched, level, mesh, mapping);
+    ASSERT_EQ(got.max, want.max) << "trial " << trial;
+    ASSERT_EQ(got.level, want.level) << "trial " << trial;
+    if (levels_at_max > 1) ++tied;
+  }
+  EXPECT_GT(tied, 20);
 }
 
 TEST(AnalyzeChecks, RankCountMismatchRejected) {

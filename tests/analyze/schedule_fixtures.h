@@ -15,10 +15,10 @@
 
 namespace spb::fixtures {
 
-inline mp::ScheduleOp send_op(int id, Rank rank, Rank dst, int tag,
-                              Bytes wire, std::vector<Rank> chunks,
-                              Bytes payload) {
-  mp::ScheduleOp op;
+inline mp::OpDraft send_op(int id, Rank rank, Rank dst, int tag,
+                           Bytes wire, std::vector<Rank> chunks,
+                           Bytes payload) {
+  mp::OpDraft op;
   op.kind = mp::ScheduleOp::Kind::kSend;
   op.id = id;
   op.rank = rank;
@@ -31,8 +31,8 @@ inline mp::ScheduleOp send_op(int id, Rank rank, Rank dst, int tag,
 }
 
 /// A posted receive with no recorded match.
-inline mp::ScheduleOp recv_op(int id, Rank rank, Rank src, int tag) {
-  mp::ScheduleOp op;
+inline mp::OpDraft recv_op(int id, Rank rank, Rank src, int tag) {
+  mp::OpDraft op;
   op.kind = mp::ScheduleOp::Kind::kRecv;
   op.id = id;
   op.rank = rank;
@@ -43,18 +43,18 @@ inline mp::ScheduleOp recv_op(int id, Rank rank, Rank src, int tag) {
 
 /// A 1024-byte send of the sender's own chunk, recorded as consumed by
 /// receive `match` (-1 = never consumed).
-inline mp::ScheduleOp send_op(int id, Rank from, Rank to, int tag,
-                              int match) {
-  mp::ScheduleOp op = send_op(id, from, to, tag, 1024, {from}, 1000);
+inline mp::OpDraft send_op(int id, Rank from, Rank to, int tag,
+                           int match) {
+  mp::OpDraft op = send_op(id, from, to, tag, 1024, {from}, 1000);
   op.match = match;
   return op;
 }
 
 /// A receive recorded as completed against send `match` (-1 = it never
 /// completed).
-inline mp::ScheduleOp recv_op(int id, Rank at, Rank peer, int tag,
-                              int match) {
-  mp::ScheduleOp op = recv_op(id, at, peer, tag);
+inline mp::OpDraft recv_op(int id, Rank at, Rank peer, int tag,
+                           int match) {
+  mp::OpDraft op = recv_op(id, at, peer, tag);
   op.match = match;
   op.completed = match >= 0;
   if (match >= 0) {

@@ -98,6 +98,41 @@ TEST(Rng, SampleWithoutReplacementProperties) {
   }
 }
 
+/// Floyd's algorithm with a linear search over the picks: the draws and
+/// picks sample_without_replacement must reproduce.
+std::vector<std::int32_t> reference_sample(Rng& rng, std::int32_t n,
+                                           std::int32_t k) {
+  std::vector<std::int32_t> out;
+  for (std::int32_t j = n - k; j < n; ++j) {
+    const auto t = static_cast<std::int32_t>(
+        rng.next_below(static_cast<std::uint64_t>(j) + 1));
+    out.push_back(std::find(out.begin(), out.end(), t) == out.end() ? t : j);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Rng, SampleMatchesTheLinearSearchReference) {
+  int cases = 0;
+  for (const std::int32_t n : {0, 1, 2, 3, 7, 63, 64, 65, 130, 1000}) {
+    for (const std::int32_t k : {0, 1, n / 3, n / 2, n - 1, n}) {
+      if (k < 0 || k > n) continue;
+      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng fast(seed);
+        Rng slow(seed);
+        ASSERT_EQ(fast.sample_without_replacement(n, k),
+                  reference_sample(slow, n, k))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        // Same draws: the generators leave the call in the same state.
+        ASSERT_EQ(fast.next_u64(), slow.next_u64())
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GT(cases, 600);
+}
+
 TEST(Rng, SampleFullRangeIsEverything) {
   Rng rng(17);
   const auto sample = rng.sample_without_replacement(32, 32);

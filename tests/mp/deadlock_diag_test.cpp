@@ -100,7 +100,7 @@ TEST(DeadlockDiag, RecordedScheduleKeepsTheHangingRecv) {
   EXPECT_TRUE(recv.is_recv());
   EXPECT_FALSE(recv.completed);
   EXPECT_EQ(recv.tag, tags::kExchange);
-  EXPECT_NE(recv.to_string().find("[never completed]"), std::string::npos);
+  EXPECT_NE(sched.describe(recv).find("[never completed]"), std::string::npos);
 }
 
 }  // namespace

@@ -369,37 +369,78 @@ sim::Task pair_echo(Comm& comm, int rounds) {
   }
 }
 
+/// Allocations of `pairs` warm rounds of the pair exchange (after 16
+/// warm-up rounds), optionally with schedule recording on.  The machine
+/// is free (no latency, overhead or serialization), so every event lands
+/// at t = 0: the event queue's radix buckets, which grow with the clock's
+/// bit patterns rather than with messages, stay out of the count.
+std::size_t warm_exchange_allocs(int pairs, bool record) {
+  constexpr int kWarm = 16;
+  net::NetParams free_net;
+  free_net.alpha_us = 0;
+  free_net.per_hop_us = 0;
+  free_net.bytes_per_us = std::numeric_limits<double>::infinity();
+  CommParams free_comm = plain_comm();
+  free_comm.send_overhead_us = 0;
+  free_comm.recv_overhead_us = 0;
+  Runtime rt(std::make_shared<net::LinearArray>(2), free_net, free_comm,
+             net::RankMapping::identity(2));
+  if (record) rt.enable_schedule_recording();
+  std::size_t allocs = 0;
+  rt.spawn(0, pair_sender(rt.comm(0), kWarm, pairs, allocs));
+  rt.spawn(1, pair_echo(rt.comm(1), kWarm + pairs));
+  const RunOutcome out = rt.run();
+  EXPECT_EQ(out.makespan_us, 0.0);
+  EXPECT_EQ(out.metrics.total_sends,
+            static_cast<std::uint64_t>(4 * (kWarm + pairs)));
+  if (record) {
+    EXPECT_EQ(rt.schedule().size(),
+              static_cast<std::size_t>(8 * (kWarm + pairs)));
+  }
+  return allocs;
+}
+
 TEST(Runtime, WarmExchangeAllocatesIndependentlyOfMessageCount) {
   // A send, its delivery, the mailbox and the receive pass a pool slot
   // and typed queue entries around: once the pools are warm, exchanging
   // N or 2N inline-payload messages allocates the same number of times —
-  // none.  The machine is free (no latency, overhead or serialization),
-  // so every event lands at t = 0: the event queue's radix buckets, which
-  // grow with the clock's bit patterns rather than with messages, stay
-  // out of the count.
-  const auto measured_allocs = [](int pairs) {
-    constexpr int kWarm = 16;
-    net::NetParams free_net;
-    free_net.alpha_us = 0;
-    free_net.per_hop_us = 0;
-    free_net.bytes_per_us = std::numeric_limits<double>::infinity();
-    CommParams free_comm = plain_comm();
-    free_comm.send_overhead_us = 0;
-    free_comm.recv_overhead_us = 0;
-    Runtime rt(std::make_shared<net::LinearArray>(2), free_net, free_comm,
-               net::RankMapping::identity(2));
-    std::size_t allocs = 0;
-    rt.spawn(0, pair_sender(rt.comm(0), kWarm, pairs, allocs));
-    rt.spawn(1, pair_echo(rt.comm(1), kWarm + pairs));
-    const RunOutcome out = rt.run();
-    EXPECT_EQ(out.makespan_us, 0.0);
-    EXPECT_EQ(out.metrics.total_sends,
-              static_cast<std::uint64_t>(4 * (kWarm + pairs)));
-    return allocs;
-  };
-  const std::size_t n = measured_allocs(64);
-  EXPECT_EQ(n, measured_allocs(128));
+  // none.
+  const std::size_t n = warm_exchange_allocs(64, false);
+  EXPECT_EQ(n, warm_exchange_allocs(128, false));
   EXPECT_EQ(n, 0u);
+}
+
+TEST(Runtime, RecordingAWarmExchangeAllocatesOnlyForPoolGrowth) {
+  // Recording writes each op into the schedule's op vector and its chunk
+  // sources into the one chunk pool (a receive shares its send's range),
+  // so the only allocations are those two vectors doubling: at most one
+  // more each when the exchange doubles.  (A vector per recorded send
+  // and matched receive would add 2 * 4 per round.)
+  const std::size_t n = warm_exchange_allocs(64, true);
+  const std::size_t twice = warm_exchange_allocs(128, true);
+  EXPECT_LE(n, 6u);
+  EXPECT_GE(twice, n);
+  EXPECT_LE(twice - n, 2u);
+}
+
+TEST(Runtime, MessageFaultPlanNeedsNoQuadraticSequenceTable) {
+  // Fault runs number messages per (src, dst) channel.  The counters
+  // exist for the channels a sender uses, not as a dense p x p table,
+  // which would be 1 GiB of uint32 at 16384 ranks: setting up takes a
+  // budget linear in p (about 0.5 KiB per rank today).
+  constexpr int kRanks = 16384;
+  const auto topo = std::make_shared<net::Mesh2D>(128, 128);
+  fault::FaultSpec spec;
+  spec.drop_rate = 0.1;
+  const auto plan = std::make_shared<const fault::FaultPlan>(
+      spec, 42, topo->link_space(), kRanks);
+  ASSERT_TRUE(plan->spec().message_faults());
+  const std::size_t before = test::bytes_allocated_here();
+  Runtime rt(topo, fast_net(), plain_comm(),
+             net::RankMapping::identity(kRanks));
+  rt.set_fault_plan(plan);
+  const std::size_t bytes = test::bytes_allocated_here() - before;
+  EXPECT_LT(bytes, std::size_t{kRanks} * 1024) << bytes << " bytes";
 }
 
 // --- the fault-run reorder buffer -----------------------------------------

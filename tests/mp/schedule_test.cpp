@@ -53,14 +53,19 @@ TEST(ScheduleRecording, PingPongRecordsMatchedPair) {
   EXPECT_EQ(send.peer, 1);
   EXPECT_EQ(send.tag, tags::kData);
   EXPECT_EQ(send.wire_bytes, 1020u);  // 16 header + 4 chunk + 1000
-  EXPECT_EQ(send.chunk_sources, std::vector<Rank>{0});
+  EXPECT_EQ(std::vector<Rank>(sched.chunk_sources(send).begin(),
+                              sched.chunk_sources(send).end()),
+            std::vector<Rank>{0});
   EXPECT_EQ(send.payload_bytes, 1000u);
   EXPECT_TRUE(recv.is_recv());
   EXPECT_TRUE(recv.completed);
   EXPECT_EQ(recv.match, send.id);
   EXPECT_EQ(send.match, recv.id);
   EXPECT_EQ(recv.wire_bytes, send.wire_bytes);
-  EXPECT_EQ(recv.chunk_sources, std::vector<Rank>{0});
+  // The receive shares its send's range of the chunk pool.
+  EXPECT_EQ(recv.chunk_begin, send.chunk_begin);
+  EXPECT_EQ(recv.chunk_count, send.chunk_count);
+  EXPECT_EQ(recv.payload_bytes, send.payload_bytes);
 }
 
 sim::Task recv_twice(Comm& comm, Rank src) {
@@ -122,9 +127,9 @@ TEST(ScheduleRecording, FromOpsRemapsMatchEdges) {
   const std::vector<ScheduleOp>& ops = rt.schedule().ops();
   ASSERT_TRUE(ops.back().is_send());
   for (const int dropped : {rt.schedule().ops_of_rank(0)[0], ops.back().id}) {
-    std::vector<ScheduleOp> kept;
+    std::vector<OpDraft> kept;
     for (const ScheduleOp& op : ops)
-      if (op.id != dropped) kept.push_back(op);
+      if (op.id != dropped) kept.push_back(rt.schedule().draft(op.id));
     const Schedule rebuilt = Schedule::from_ops(2, std::move(kept));
     ASSERT_EQ(rebuilt.size(), 3u);
     int completed = 0;
