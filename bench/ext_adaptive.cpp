@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
     for (const int s : {48, 96}) {
       const stop::Problem pb =
           stop::make_problem(machine, kind, s, opt.len_or(6144));
-      const double b = bench::time_ms(base, pb);
-      const double r = bench::time_ms(repos, pb);
-      const double a = bench::time_ms(adaptive, pb);
+      const double b = stop::run_ms(*base, pb);
+      const double r = stop::run_ms(*repos, pb);
+      const double a = stop::run_ms(*adaptive, pb);
       // The actual decision, straight from the algorithm.  The old
       // inference `a == r && r != b` broke down exactly when the branches
       // tied: near-ideal inputs make base and repos times equal, and any

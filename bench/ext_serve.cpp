@@ -1,8 +1,9 @@
 // ext_serve — serving-layer throughput and determinism gate.
 //
-// Drives a seeded stream of plan requests (the spb_plan --replay template
-// pool, in wire form) through an in-process serve::Server at 1, 2, 4 and 8
-// workers, with blocking admission so nothing is load-shed.  Checks:
+// Drives a seeded stream of plan requests (the spb_plan --replay stream of
+// plan/replay.h, in wire form) through an in-process serve::Server at 1,
+// 2, 4 and 8 workers, with blocking admission so nothing is load-shed.
+// Checks:
 //
 //   1. the response stream is byte-identical at every worker count
 //      (responses are pure functions of requests; the server's output
@@ -26,62 +27,15 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "dist/distribution.h"
 #include "machine/config.h"
 #include "options.h"
+#include "plan/replay.h"
 #include "serve/server.h"
 
 namespace {
 
 using namespace spb;  // NOLINT(google-build-using-namespace): bench main
 using Clock = std::chrono::steady_clock;
-
-/// The spb_plan --replay template pool rendered as wire requests: 32
-/// seeded templates, the stream samples among them.
-std::vector<std::string> request_lines(const machine::MachineConfig& mc,
-                                       int count, std::uint64_t seed) {
-  const std::vector<int> s_pool = {
-      std::max(1, mc.p / 8), std::max(1, mc.p / 4),
-      std::max(1, (3 * mc.p) / 8), std::max(1, mc.p / 2)};
-  const std::vector<Bytes> len_pool = {512, 1024, 6144, 32768};
-  const auto& kinds = dist::all_kinds();
-
-  constexpr int kPoolSize = 32;
-  struct Template {
-    std::string dist;
-    int sources;
-    Bytes len;
-    std::uint64_t dist_seed;
-  };
-  Rng pool_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  std::vector<Template> pool;
-  pool.reserve(kPoolSize);
-  for (int i = 0; i < kPoolSize; ++i) {
-    Template t;
-    t.dist = dist::kind_name(kinds[pool_rng.next_below(kinds.size())]);
-    t.sources = s_pool[pool_rng.next_below(s_pool.size())];
-    t.len = len_pool[pool_rng.next_below(len_pool.size())];
-    t.dist_seed = 1 + pool_rng.next_below(4);
-    pool.push_back(t);
-  }
-
-  std::vector<std::string> lines;
-  lines.reserve(static_cast<std::size_t>(count) + 1);
-  Rng stream_rng(seed);
-  for (int i = 0; i < count; ++i) {
-    const Template& t = pool[stream_rng.next_below(pool.size())];
-    const Bytes len = t.len + static_cast<Bytes>(stream_rng.next_below(
-                                  static_cast<std::uint64_t>(t.len / 8 + 1)));
-    std::ostringstream line;
-    line << "{\"op\":\"plan\",\"dist\":\"" << t.dist
-         << "\",\"sources\":" << t.sources << ",\"len\":" << len
-         << ",\"seed\":" << t.dist_seed << "}";
-    lines.push_back(line.str());
-  }
-  lines.push_back("{\"op\":\"stats\",\"deterministic\":true}");
-  return lines;
-}
 
 struct SessionResult {
   std::string output;
@@ -161,7 +115,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed),
               quick ? " (quick)" : "");
 
-  const std::vector<std::string> lines = request_lines(mc, count, seed);
+  // The plan replay stream as wire requests, then a closing stats barrier.
+  plan::ReplayStream stream(mc.p, seed);
+  std::vector<std::string> lines;
+  for (int i = 0; i < count; ++i)
+    lines.push_back(plan::wire_line(stream.next()));
+  lines.push_back("{\"op\":\"stats\",\"deterministic\":true}");
 
   const std::vector<int> worker_counts = {1, 2, 4, 8};
   std::vector<SessionResult> sessions;

@@ -1,16 +1,20 @@
 // The paper's evaluation — Figures 2-13 and the Section 5.2 partitioning
-// text — as one table, and the program that reproduces it.
+// text — and the studies around it, as one table, and the program that
+// reproduces it.
 //
-// Each table entry is one figure or panel: its axis rows (machine,
-// distribution, source count s, message length L), the series it plots
-// (algorithms, Figure-2 metrics, or the gain of one algorithm over
-// another on the same problem) and the paper's claims as predicates over
-// the computed values.  The program runs every distinct simulation of the
-// selected entries once through one SweepRunner; then, for each entry, it
-// prints the table, writes <out>/<id>.csv and checks the claims on those
-// same values, so the committed CSVs are the data whose claims hold.
+// Each table entry is one figure or panel (fig*), one ablation that
+// switches off or sweeps a mechanism the paper's orderings rest on
+// (abl_*), or one extension study (ext_*): its axis rows (machine,
+// distribution, source count s, message length L, distribution seed), the
+// series it plots (algorithms, Figure-2 metrics, network counters, or the
+// gain of one algorithm over another on the same problem) and its claims
+// as predicates over the computed values.  The program runs every distinct
+// simulation of the selected entries once through one SweepRunner; then,
+// for each entry, it prints the table, writes <out>/<id>.csv and checks
+// the claims on those same values, so the committed CSVs are the data
+// whose claims hold.
 //
-//   $ ./build/bench/figures                   # every figure into results/
+//   $ ./build/bench/figures                   # every entry into results/
 //   $ ./build/bench/figures fig09 --jobs 4    # ids starting with "fig09"
 //   $ ./build/bench/figures --out figs        # CSVs into figs/
 //
@@ -24,7 +28,9 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
@@ -42,6 +48,7 @@ using K = dist::Kind;
 struct Run {
   double ms = 0;
   mp::RunMetrics metrics;
+  net::NetworkStats network;
 };
 
 /// One column of a figure.  By default the value is the algorithm's time
@@ -65,7 +72,8 @@ struct Row {
   K kind = K::kEqual;
   int s = 1;
   Bytes L = 0;
-  AlgorithmPtr alg{};  // Figure 2 only: its rows are (algorithm, s) pairs
+  AlgorithmPtr alg{};      // the algorithm of series that name none
+  std::uint64_t seed = 1;  // the distribution's seed (Rand)
 };
 
 struct Figure;
@@ -714,10 +722,391 @@ std::vector<Figure> figure_table() {
                   "T3D distribution differences are not as striking as on "
                   "the Paragon");
        }});
+
+  // ---- Ablations: each switches off or sweeps one mechanism ------------
+
+  // The 2-Step broadcast phase: the T3D vendor collective's segmented
+  // pipelined tree against the paper's store-and-forward halving.  A
+  // combined message of half a megabyte pipelines far better; one that
+  // fits a segment does not.
+  {
+    auto store_forward = t128;
+    store_forward.bcast_segment_bytes = 0;
+    Figure f{"abl_bcast_tree",
+             "Ablation — 2-Step broadcast: pipelined vs store-and-forward "
+             "(T3D 128)",
+             {"broadcast"},
+             {{{"store&forward"}, store_forward, K::kEqual, 4, 4096},
+              {{"pipelined"}, t128, K::kEqual, 4, 4096}}};
+    for (const int s : {4, 32, 128})
+      f.series.push_back(
+          {.name = "s" + std::to_string(s), .alg = all_gather, .s = s});
+    f.claims = [](const Values& v, Checker& c) {
+      const auto speedup = [&](const char* s) {
+        return v.at(s, "store&forward") / v.at(s, "pipelined");
+      };
+      c.expect(speedup("s128") > 1.4,
+               "pipelining a 512K broadcast wins clearly (end-to-end, "
+               "gather included)");
+      c.expect(speedup("s32") > 1.2, "pipelining a 128K broadcast still wins");
+      c.expect(speedup("s4") < 1.1,
+               "small broadcasts gain nothing — pipelining has per-segment "
+               "overhead");
+      c.expect(speedup("s128") > speedup("s4"),
+               "the advantage grows with the broadcast size");
+    };
+    table.push_back(std::move(f));
+  }
+
+  // The combining cost the paper blames for Br_Lin's poor T3D showing:
+  // cheap combining lets Br_Lin beat MPI_Alltoall there too.
+  {
+    Figure f{"abl_combine", "Ablation — combining cost sweep on the T3D",
+             {"combine_us_per_B"}};
+    for (const double cost : {0.0, 0.005, 0.015, 0.025, 0.05}) {
+      auto m = t128;
+      m.comm.combine_per_byte_us = cost;
+      f.rows.push_back({{fixed(cost, 3)}, m, K::kEqual, 64, 4096});
+    }
+    f.series = times({br_lin, all_to_all});
+    f.claims = [](const Values& v, Checker& c) {
+      const auto br_wins = [&](const char* cost) {
+        return v.at("Br_Lin", cost) < v.at("MPI_Alltoall", cost);
+      };
+      c.expect(br_wins("0.000"),
+               "free combining: Br_Lin would beat MPI_Alltoall on the T3D "
+               "too");
+      c.expect(!br_wins("0.025"),
+               "at the calibrated combining cost the T3D ordering flips");
+      c.expect(v.at("Br_Lin", "0.050") > v.at("Br_Lin", "0.000") * 1.5,
+               "Br_Lin's critical path is combine-bound at high cost");
+    };
+    table.push_back(std::move(f));
+  }
+
+  // Full-path link reservation on vs off: removing contention never slows
+  // a run, and the traffic-spreading Br_* lose least to it — which is why
+  // they win on the real machine.
+  {
+    auto no_contention = p10;
+    no_contention.net.model_contention = false;
+    Figure f{"abl_contention",
+             "Ablation — link contention on/off (Paragon 10x10)",
+             {"algorithm", "contention"}};
+    for (const AlgorithmPtr& a : stop::all_algorithms()) {
+      f.rows.push_back({{a->name(), "on"}, p10, K::kEqual, 40, 16384, a});
+      f.rows.push_back(
+          {{a->name(), "off"}, no_contention, K::kEqual, 40, 16384, a});
+    }
+    f.series = {{.name = "time_ms"}};
+    f.claims = [](const Values& v, Checker& c) {
+      const auto slowdown = [&](const std::string& a) {
+        return v.at("time_ms", a + ",on") / v.at("time_ms", a + ",off");
+      };
+      for (const AlgorithmPtr& a : stop::all_algorithms())
+        c.expect(v.at("time_ms", a->name() + ",on") * 1.0000001 >=
+                     v.at("time_ms", a->name() + ",off"),
+                 a->name() + ": removing contention never hurts");
+      c.expect(slowdown("PersAlltoAll") > 1.3,
+               "PersAlltoAll floods the mesh: contention costs it > 30%");
+      c.expect(slowdown("Br_xy_source") < slowdown("PersAlltoAll"),
+               "Br_xy_source spreads traffic better than PersAlltoAll");
+      c.expect(slowdown("Br_Lin") < slowdown("PersAlltoAll"),
+               "Br_Lin spreads traffic better than PersAlltoAll");
+    };
+    table.push_back(std::move(f));
+  }
+
+  // T3D placement, scattered (the uncontrollable mapping) vs a contiguous
+  // sub-brick: Br_Lin's halving partners become neighbours, the NI-bound
+  // collectives barely care, and the root-gather's routes funnel into the
+  // root through the same few links.
+  table.push_back(
+      {"abl_mapping", "Ablation — T3D placement: scattered vs contiguous",
+       {"placement"},
+       {{{"scattered"}, t128, K::kEqual, 64, 4096},
+        {{"contiguous"}, machine::t3d(128, /*scatter_seed=*/0), K::kEqual, 64,
+         4096}},
+       times({all_gather, all_to_all, br_lin}),
+       [](const Values& v, Checker& c) {
+         const auto ratio = [&](const char* a) {
+           return v.at(a, "contiguous") / v.at(a, "scattered");
+         };
+         c.expect(ratio("Br_Lin") < 1.0,
+                  "contiguity helps the locality-structured Br_Lin");
+         c.expect(ratio("MPI_Alltoall") < 1.15,
+                  "MPI_Alltoall is placement-insensitive (NI-bound)");
+         c.expect(ratio("MPI_AllGather") > ratio("Br_Lin"),
+                  "the root-gather gains less (or loses) from contiguity: "
+                  "its routes funnel into the root");
+       }});
+
+  // The Paragon headline (Br_* >> 2-Step, PersAlltoAll) across a band of
+  // plausible software-overhead and bandwidth calibrations.
+  {
+    Figure f{"abl_overheads", "Ablation — Paragon calibration robustness",
+             {"variant"}};
+    using Variant = std::tuple<const char*, double, double>;
+    for (const auto& [name, overhead, bandwidth] :
+         {Variant{"calibrated", 1.0, 1.0},
+          Variant{"slow software (x2 overhead)", 2.0, 1.0},
+          Variant{"fast software (x0.5)", 0.5, 1.0},
+          Variant{"slow wire (x0.5 bandwidth)", 1.0, 0.5},
+          Variant{"fast wire (x2 bandwidth)", 1.0, 2.0}}) {
+      auto m = p10;
+      m.comm.send_overhead_us *= overhead;
+      m.comm.recv_overhead_us *= overhead;
+      m.net.bytes_per_us *= bandwidth;
+      f.rows.push_back({{name}, m, K::kEqual, 30, 4096});
+    }
+    f.series = times({xy_source, br_lin, two_step, pers});
+    f.claims = [](const Values& v, Checker& c) {
+      for (const Row& r : v.fig.rows) {
+        const std::string& name = r.keys[0];
+        const double xy = v.at("Br_xy_source", name);
+        const double br = v.at("Br_Lin", name);
+        const double ts = v.at("2-Step", name);
+        const double pa = v.at("PersAlltoAll", name);
+        c.expect(xy < ts && xy < pa && br < ts && br < pa,
+                 "Br_* still ahead under '" + name + "'");
+      }
+    };
+    table.push_back(std::move(f));
+  }
+
+  // XY vs YX mesh routing: the combining algorithms are routing-order
+  // robust, while PersAlltoAll's shift permutations align with whichever
+  // dimension goes first.
+  {
+    auto yx = p10;
+    yx.topology = std::make_shared<net::Mesh2D>(10, 10, /*y_first=*/true);
+    yx.name += " (YX routing)";
+    Figure f{"abl_routing", "Ablation — XY vs YX mesh routing (10x10 Paragon)",
+             {"routing", "dist"}};
+    for (const auto& [routing, m] : {std::pair{"XY", p10}, std::pair{"YX", yx}})
+      for (const K k : {K::kEqual, K::kRow})
+        f.rows.push_back({{routing, dist::kind_name(k)}, m, k, 30, 4096});
+    f.series = times({two_step, pers, br_lin, xy_source});
+    f.claims = [](const Values& v, Checker& c) {
+      double pers_swing = 1.0;
+      for (const Series& se : v.fig.series) {
+        for (const std::string k : {"E", "R"}) {
+          const double a = v.at(se.name, "XY," + k);
+          const double b = v.at(se.name, "YX," + k);
+          if (se.name != "PersAlltoAll") {
+            c.expect(b > a * 0.75 && b < a * 1.35,
+                     se.name + "/" + k + ": routing order moves the time < 35%");
+          } else {
+            pers_swing = std::max({pers_swing, b / a, a / b});
+          }
+        }
+      }
+      c.expect(pers_swing > 1.25,
+               "PersAlltoAll's permutation flood is routing-order "
+               "sensitive (swing " + fixed(pers_swing, 2) + "x)");
+      c.expect(v.at("Br_xy_source", "YX,E") < v.at("2-Step", "YX,E"),
+               "Br_xy_source still beats 2-Step under YX routing");
+      c.expect(v.at("Br_Lin", "YX,E") < v.at("PersAlltoAll", "YX,E"),
+               "Br_Lin still beats PersAlltoAll under YX routing");
+    };
+    table.push_back(std::move(f));
+  }
+
+  // The paper's aside: Br_Lin over the snake-like (boustrophedon) order,
+  // whose late halving exchanges ride single mesh links.
+  {
+    Figure f{"abl_snake", "Ablation — Br_Lin indexing: row-major vs snake",
+             {"dist", "L"}};
+    for (const K k : {K::kEqual, K::kSquare, K::kDiagLeft})
+      for (const Bytes L : {Bytes{1024}, Bytes{16384}})
+        f.rows.push_back(
+            {{dist::kind_name(k), std::to_string(L)}, p10, k, 30, L});
+    f.series = times({br_lin, stop::find_algorithm("Br_Lin_snake")});
+    f.claims = [](const Values& v, Checker& c) {
+      const std::vector<double> plain = v.column("Br_Lin");
+      const std::vector<double> snake = v.column("Br_Lin_snake");
+      double worst = 0;
+      double best = 10;
+      for (std::size_t i = 0; i < plain.size(); ++i) {
+        worst = std::max(worst, snake[i] / plain[i]);
+        best = std::min(best, snake[i] / plain[i]);
+      }
+      c.expect(worst < 1.15 && best > 0.8,
+               "the indexing choice moves Br_Lin by at most ~15% either "
+               "way — a tuning knob, not a different algorithm");
+    };
+    table.push_back(std::move(f));
+  }
+
+  // ---- Extensions: the paper's asides and its T3D conjecture ------------
+
+  // Br_Lin on an iPSC-style hypercube, where pairing i with i + p/2 is a
+  // dimension exchange over a dedicated link, against a mesh with the
+  // cube's software and wire parameters: only the topology differs.
+  {
+    const auto cube = machine::hypercube(6);
+    auto mesh = machine::paragon(8, 8);
+    mesh.net = cube.net;
+    mesh.comm = cube.comm;
+    mesh.mpi_extra_us = cube.mpi_extra_us;
+    Figure f{"ext_hypercube", "Extension — Br_Lin on hypercube vs mesh (p=64)",
+             {"s", "topology"}};
+    for (const int s : {8, 32, 64}) {
+      f.rows.push_back({{std::to_string(s), "mesh"}, mesh, K::kEqual, s, 16384});
+      f.rows.push_back({{std::to_string(s), "cube"}, cube, K::kEqual, s, 16384});
+    }
+    f.series = times({br_lin, pers});
+    f.series.push_back(
+        {.name = "Br_Lin_stall_us",
+         .alg = br_lin,
+         .metric = [](const Run& r) { return r.network.total_stall_us; },
+         .decimals = 1});
+    f.series.push_back(
+        {.name = "Br_Lin_link_busy_us",
+         .alg = br_lin,
+         .metric = [](const Run& r) { return r.network.total_link_busy_us; },
+         .decimals = 1});
+    f.claims = [](const Values& v, Checker& c) {
+      const auto gain = [&](const std::string& s) {
+        return v.at("Br_Lin", s + ",mesh") / v.at("Br_Lin", s + ",cube");
+      };
+      c.expect(gain("64") > 1.05,
+               "the hypercube's dedicated dimension links beat the mesh "
+               "at full load");
+      c.expect(gain("64") >= gain("8"),
+               "the topology advantage grows with traffic");
+      c.expect(v.at("Br_Lin_stall_us", "64,cube") <
+                   0.01 * v.at("Br_Lin_link_busy_us", "64,cube"),
+               "Br_Lin on the hypercube is effectively contention-free");
+    };
+    table.push_back(std::move(f));
+  }
+
+  // A modern MPI's recursive halving/doubling allgatherv — Br_Lin's merge
+  // pattern without combining — against the paper's algorithms: why MPI
+  // collectives absorbed s-to-p broadcasting.
+  {
+    Figure f{"ext_modern_mpi",
+             "Extension — modern Allgatherv_RD vs the paper's algorithms",
+             {"machine", "s"}};
+    for (const int s : {10, 30, 60, 100})
+      f.rows.push_back(
+          {{"paragon10x10", std::to_string(s)}, p10, K::kEqual, s, 4096});
+    for (const int s : {10, 40, 96, 128})
+      f.rows.push_back(
+          {{"t3d128", std::to_string(s)}, t128, K::kEqual, s, 4096});
+    f.series = times({stop::find_algorithm("Allgatherv_RD"), xy_source,
+                      two_step, all_to_all, all_gather, br_lin});
+    f.claims = [](const Values& v, Checker& c) {
+      for (const int s : {30, 100}) {
+        const std::string key = "paragon10x10," + std::to_string(s);
+        c.expect_ratio(v.at("Allgatherv_RD", key), v.at("Br_xy_source", key),
+                       0.5, 1.5,
+                       "Paragon: the modern collective ~ Br_xy_source at "
+                       "s=" + std::to_string(s));
+      }
+      for (const int s : {40, 96, 128}) {
+        const std::string key = "t3d128," + std::to_string(s);
+        c.expect(v.at("Allgatherv_RD", key) <
+                     std::min({v.at("MPI_Alltoall", key),
+                               v.at("MPI_AllGather", key),
+                               v.at("Br_Lin", key)}),
+                 "T3D: the modern collective beats everything the paper "
+                 "measured at s=" + std::to_string(s));
+      }
+    };
+    table.push_back(std::move(f));
+  }
+
+  // The paper's closing conjecture, "a random distribution appears to be
+  // a good choice for the T3D", against five random placements.
+  {
+    Figure f{"ext_random_t3d", "Extension — random distributions on the T3D",
+             {"dist", "seed"}};
+    for (const K k : {K::kEqual, K::kSquare, K::kCross})
+      f.rows.push_back({{dist::kind_name(k), "1"}, t128, k, 48, 4096});
+    for (std::uint64_t seed = 1; seed <= 5; ++seed)
+      f.rows.push_back({{"Rand", std::to_string(seed)}, t128, K::kRandom, 48,
+                        4096, nullptr, seed});
+    f.series = times({br_lin, all_to_all});
+    f.claims = [](const Values& v, Checker& c) {
+      constexpr int kRandomTrials = 5;
+      double br_random_sum = 0;
+      for (int seed = 1; seed <= kRandomTrials; ++seed)
+        br_random_sum += v.at("Br_Lin", "Rand," + std::to_string(seed));
+      const double br_random = br_random_sum / kRandomTrials;
+      c.expect(br_random < v.at("Br_Lin", "Sq"),
+               "random placements beat the clustered square block for "
+               "Br_Lin");
+      c.expect_ratio(v.at("Br_Lin", "E"), br_random, 0.6, 1.4,
+                     "the equal distribution indeed 'resembles a uniformly "
+                     "random distribution' in cost");
+    };
+    table.push_back(std::move(f));
+  }
+
+  // The approach the paper dismissed: every source runs its own one-to-all
+  // broadcast, s*(p-1) uncombined messages, so every rank pays 2s
+  // message overheads against Br_*'s O(log p).
+  {
+    const auto unco = stop::find_algorithm("Uncoord_1toAll");
+    Figure f{"ext_uncoordinated",
+             "Extension — uncoordinated 1-to-all floods (10x10 Paragon)",
+             {"s", "L"}};
+    for (const int s : {10, 30, 60})
+      for (const Bytes L : {Bytes{512}, Bytes{4096}})
+        f.rows.push_back(
+            {{std::to_string(s), std::to_string(L)}, p10, K::kEqual, s, L});
+    const auto sends = [](const Run& r) {
+      return double(r.metrics.total_sends);
+    };
+    f.series = times({unco, xy_source});
+    f.series.push_back(
+        {.name = "Uncoord_msgs", .alg = unco, .metric = sends, .decimals = 0});
+    f.series.push_back(
+        {.name = "Br_msgs", .alg = xy_source, .metric = sends, .decimals = 0});
+    f.claims = [](const Values& v, Checker& c) {
+      const auto ratio = [&](const std::string& key) {
+        return v.at("Uncoord_1toAll", key) / v.at("Br_xy_source", key);
+      };
+      c.expect(v.at("Uncoord_msgs", "30,512") >= 30u * 99u,
+               "s*(p-1) messages in the system, as the paper warns");
+      c.expect(v.at("Uncoord_msgs", "30,512") > 4 * v.at("Br_msgs", "30,512"),
+               "several times the coordinated algorithm's message count");
+      for (const int s : {30, 60}) {
+        c.expect(ratio(std::to_string(s) + ",512") > 1.3,
+                 "uncoordinated broadcasts lose clearly at small L, s=" +
+                     std::to_string(s));
+      }
+      c.expect(ratio("60,4096") > 1.0, "still behind at L=4K for many sources");
+    };
+    table.push_back(std::move(f));
+  }
   return table;
 }
 
 // ---- Running the table -----------------------------------------------------
+
+/// Every parameter of a machine.  Rows whose machines differ in any of
+/// them (a combining-cost sweep, t3d(128, 0), a store-and-forward 2-Step)
+/// never share a run, although all of them are named "t3d p=128".  The
+/// topology enters by its name, which does not show the routing order, so
+/// a variant that changes only the routing renames the machine.
+std::string machine_key(const machine::MachineConfig& m) {
+  std::ostringstream os;
+  os << std::hexfloat << m.name << '|' << m.topology->name() << '|' << m.p
+     << ',' << m.rows << ',' << m.cols << ',' << m.mpi_extra_us << ','
+     << m.bcast_segment_bytes << ',' << m.cores_per_node << ','
+     << m.inter_node_bw_scale << '|' << m.net.alpha_us << ','
+     << m.net.per_hop_us << ',' << m.net.bytes_per_us << ','
+     << m.net.inject_channels << ',' << m.net.eject_channels << ','
+     << m.net.model_contention << '|' << m.comm.send_overhead_us << ','
+     << m.comm.recv_overhead_us << ',' << m.comm.mpi_extra_us << ','
+     << m.comm.combine_fixed_us << ',' << m.comm.combine_per_byte_us << ','
+     << m.comm.header_bytes << ',' << m.comm.chunk_header_bytes << '|';
+  for (const NodeId n : m.mapping.table()) os << n << ',';
+  return os.str();
+}
 
 /// Every distinct simulation of the selected figures, run once.
 class Runs {
@@ -728,13 +1117,15 @@ class Runs {
                      const Series& se) {
     const K kind = se.kind.value_or(row.kind);
     const int s = se.s.value_or(row.s);
-    const std::string key = alg->name() + "|" + row.machine.name + "|" +
-                            dist::kind_name(kind) + "|" + std::to_string(s) +
-                            "|" + std::to_string(row.L);
+    const std::string key = alg->name() + "|" + machine_key(row.machine) +
+                            "|" + dist::kind_name(kind) + "|" +
+                            std::to_string(s) + "|" + std::to_string(row.L) +
+                            "|" + std::to_string(row.seed);
     const auto [it, fresh] = index_.try_emplace(key, jobs_.size());
     if (fresh) {
       SPB_REQUIRE(runs_.empty(), "run " << key << " registered too late");
-      jobs_.push_back({alg, stop::make_problem(row.machine, kind, s, row.L)});
+      jobs_.push_back(
+          {alg, stop::make_problem(row.machine, kind, s, row.L, row.seed)});
     }
     return it->second;
   }
@@ -743,7 +1134,7 @@ class Runs {
     runs_.resize(jobs_.size());
     bench::SweepRunner(jobs).run(jobs_.size(), [&](std::size_t i) {
       const stop::RunResult r = stop::run(*jobs_[i].alg, jobs_[i].problem);
-      runs_[i] = {r.time_us / 1000.0, r.outcome.metrics};
+      runs_[i] = {r.time_us / 1000.0, r.outcome.metrics, r.outcome.network};
     });
   }
 
@@ -802,11 +1193,11 @@ std::pair<int, int> report(const Figure& fig, const Values& values,
 int main(int argc, char** argv) {
   const bench::ParseSpec spec{
       .description =
-          "Reproduces the paper's figures: prints each table, writes "
-          "<out>/<id>.csv (default results/) and checks the paper's claims "
-          "on those values.  [prefix] selects figures by id (fig02 .. "
-          "fig13b).  Every axis is fixed by the figure table, so "
-          "--machine/--dist/--sources/--len/--seed/--reps are rejected.",
+          "Reproduces the paper's figures and the studies around them: "
+          "prints each table, writes <out>/<id>.csv (default results/) and "
+          "checks the claims on those values.  [prefix] selects entries by "
+          "id (fig02 .. fig13b, abl_*, ext_*).  Every axis is fixed by the "
+          "table, so --machine/--dist/--sources/--len/--seed are rejected.",
       .extras = {},
       .allow_positional = true,
       .positional_help = "[prefix]"};
@@ -816,11 +1207,10 @@ int main(int argc, char** argv) {
     return !f.id.starts_with(opt.positional);
   });
   const char* error = nullptr;
-  if (opt.machine || opt.dist || opt.sources || opt.len || opt.seed ||
-      opt.reps)
+  if (opt.machine || opt.dist || opt.sources || opt.len || opt.seed)
     error = "the figure table fixes every axis; drop the override flags";
   else if (figures.empty())
-    error = "no figure id starts with that prefix";
+    error = "no entry id starts with that prefix";
   if (error != nullptr) {
     std::cerr << argv[0] << ": " << error << "\n"
               << bench::usage_text(argv[0], spec);

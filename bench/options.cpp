@@ -33,7 +33,6 @@ std::string usage_text(const std::string& argv0, const ParseSpec& spec) {
      << "  --sources N   source count\n"
      << "  --len N       message length in bytes\n"
      << "  --seed N      distribution seed\n"
-     << "  --reps N      timing repetitions\n"
      << "  --jobs N      worker threads (0 = all cores; default "
      << "SPB_BENCH_JOBS or 1)\n"
      << "  --out PATH    output file/directory\n";
@@ -87,13 +86,6 @@ std::string parse_options_into(int argc, const char* const* argv,
       if (!try_parse_u64(v, n, err))
         return "bad --seed value '" + v + "': " + err;
       out.seed = n;
-    } else if (a == "--reps") {
-      int n = 0;
-      if (!(err = next(i, a, v)).empty()) return err;
-      if (!try_parse_int(v, n, err) || n < 1)
-        return "bad --reps value '" + v + "'" +
-               (err.empty() ? ": must be >= 1" : ": " + err);
-      out.reps = n;
     } else if (a == "--jobs") {
       int n = 0;
       if (!(err = next(i, a, v)).empty()) return err;

@@ -1,6 +1,6 @@
 // Unified CLI parser for every bench binary.
 //
-// All 18 bench mains parse the same flag set through parse_options()
+// The bench mains parse the same flag set through parse_options()
 // (figures rejects the axis overrides: its table fixes every axis):
 //
 //   --machine M   any machine::Registry spec (paragonRxC, t3dP[:SEED],
@@ -11,8 +11,6 @@
 //   --len N       message length in bytes
 //   --jobs N      worker threads (0 = all cores); default from the
 //                 SPB_BENCH_JOBS environment variable (see default_jobs())
-//   --reps N      timing repetitions (deterministic sim: for overhead
-//                 studies, not noise averaging)
 //   --seed N      distribution seed
 //   --out PATH    output file/directory (benches that write one)
 //   --help        flag summary plus the bench's own description
@@ -62,7 +60,6 @@ struct Options {
   std::optional<int> sources;
   std::optional<Bytes> len;
   std::optional<std::uint64_t> seed;
-  std::optional<int> reps;
   std::string out;         // --out (empty = bench default)
   std::string positional;  // first bare argument, when the spec allows one
   int jobs = 1;            // resolved: --jobs, else SPB_BENCH_JOBS, else 1
@@ -82,9 +79,6 @@ struct Options {
   }
   std::uint64_t seed_or(std::uint64_t fallback) const {
     return seed.has_value() ? *seed : fallback;
-  }
-  int reps_or(int fallback) const {
-    return reps.has_value() ? *reps : fallback;
   }
   std::string out_or(const std::string& fallback) const {
     return out.empty() ? fallback : out;

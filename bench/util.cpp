@@ -8,16 +8,12 @@
 
 namespace spb::bench {
 
-double time_ms(const stop::AlgorithmPtr& alg, const stop::Problem& pb) {
-  return stop::run_ms(*alg, pb);
-}
-
 std::vector<double> time_ms_sweep(const std::vector<SweepCase>& cases,
                                   int jobs) {
   std::vector<double> ms(cases.size());
   const SweepRunner runner(jobs);
   runner.run(cases.size(), [&](std::size_t i) {
-    ms[i] = time_ms(cases[i].algorithm, cases[i].problem);
+    ms[i] = stop::run_ms(*cases[i].algorithm, cases[i].problem);
   });
   return ms;
 }
@@ -53,10 +49,6 @@ int Checker::exit_code() const {
   std::printf("---- %s: %d/%d checks passed ----\n\n", name_.c_str(),
               checks_ - failures_, checks_);
   return failures_ == 0 ? 0 : 1;
-}
-
-void section(const std::string& title) {
-  std::printf("\n-- %s --\n", title.c_str());
 }
 
 }  // namespace spb::bench

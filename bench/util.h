@@ -1,7 +1,7 @@
-// Shared scaffolding for the figure-reproduction benches: run-and-average
-// helpers, series printing, and qualitative shape checks that turn each
-// bench into an acceptance test (failed expectations set a non-zero exit
-// code but keep printing, so one bad series does not hide the rest).
+// Shared scaffolding for the benches: timing helpers, and the qualitative
+// shape checks that turn each bench into an acceptance test (failed
+// expectations set a non-zero exit code but keep printing, so one bad
+// series does not hide the rest).
 #pragma once
 
 #include <cstdio>
@@ -41,10 +41,6 @@ static_assert(stop::RunConfig{}.options().verify &&
                   !stop::RunConfig{}.options().link_stats &&
                   !stop::RunConfig{}.options().faults.any(),
               "RunConfig{} must lower to the all-off default RunOptions");
-
-/// Milliseconds for one algorithm/problem pair (single deterministic run —
-/// the simulator has no noise to average away).
-double time_ms(const stop::AlgorithmPtr& alg, const stop::Problem& pb);
 
 /// One cell of a figure sweep: an algorithm on a problem instance.
 struct SweepCase {
@@ -86,8 +82,5 @@ class Checker {
   int checks_ = 0;
   int failures_ = 0;
 };
-
-/// Prints a section header.
-void section(const std::string& title);
 
 }  // namespace spb::bench

@@ -1,5 +1,6 @@
 #include "analyze/mutate.h"
 
+#include <span>
 #include <sstream>
 
 #include "common/check.h"
@@ -120,10 +121,14 @@ MutationResult apply_mutation(const mp::Schedule& schedule, Mutation m,
         const ScheduleOp& r2 = ops[static_cast<std::size_t>(s1.match)];
         const Rank b = r2.rank;
         if (b == s1.rank) continue;
-        for (const ScheduleOp& r1 : ops) {
-          if (!r1.is_recv() || r1.rank != s1.rank || r1.id <= s1.id ||
-              r1.match < 0)
-            continue;
+        // A rank's op ids rise with its steps, so the ops after s1 on its
+        // rank are the ones with larger ids.
+        const std::span<const int> later =
+            schedule.ops_of_rank(s1.rank).subspan(
+                static_cast<std::size_t>(s1.step) + 1);
+        for (const int id : later) {
+          const ScheduleOp& r1 = ops[static_cast<std::size_t>(id)];
+          if (!r1.is_recv() || r1.match < 0) continue;
           const ScheduleOp& s2 = ops[static_cast<std::size_t>(r1.match)];
           if (s2.rank != b) continue;
           ids.push_back(s1.id);

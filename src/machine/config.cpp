@@ -116,7 +116,8 @@ MachineConfig t3d(int p, std::uint64_t scatter_seed) {
   // traversal (~40 MB/s effective), which — relative to the fast network —
   // makes merging far more expensive than on the Paragon.  This is the
   // "higher wait cost and the cost of combining messages" the paper blames
-  // for Br_Lin's poor T3D showing; bench/ablation_combine sweeps it.
+  // for Br_Lin's poor T3D showing; the figure table's abl_combine entry
+  // sweeps it.
   m.comm.send_overhead_us = 25.0;
   m.comm.recv_overhead_us = 35.0;
   m.comm.combine_fixed_us = 15.0;

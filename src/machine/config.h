@@ -86,8 +86,8 @@ MachineConfig from_name(const std::string& name);
 /// The mapping of virtual to physical processors "cannot be controlled by
 /// the user" (paper Section 5): algorithms must not rely on it.  We model
 /// it as a seeded random scatter over the torus; pass scatter_seed = 0 for
-/// a contiguous sub-brick placement instead (the ablation_mapping bench
-/// compares the two).
+/// a contiguous sub-brick placement instead (the figure table's
+/// abl_mapping entry compares the two).
 MachineConfig t3d(int p, std::uint64_t scatter_seed = 1);
 
 /// The most balanced factorization rows * cols == p, rows <= cols, used for
@@ -97,8 +97,8 @@ void balanced_factors(int p, int& rows, int& cols);
 /// Extension (not one of the paper's machines): an iPSC/860-style
 /// hypercube of 2^dims processors with Paragon-era software overheads.
 /// Br_Lin's halving pattern maps one iteration per cube dimension, so its
-/// exchanges are contention-free here — bench/ext_hypercube measures the
-/// effect against a mesh of the same size.
+/// exchanges are contention-free here — the figure table's ext_hypercube
+/// entry measures the effect against a mesh of the same size.
 MachineConfig hypercube(int dims);
 
 /// k-ary n-cube torus machine (net::TorusND) with T3D-class links and

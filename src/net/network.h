@@ -44,7 +44,8 @@ struct NetParams {
   /// Ejection (network-to-node) DMA channels per node.
   int eject_channels = 1;
   /// If false, link reservation is skipped entirely and only the latency /
-  /// bandwidth terms apply (the ablation_contention bench flips this).
+  /// bandwidth terms apply (the figure table's abl_contention entry flips
+  /// this).
   bool model_contention = true;
 };
 

@@ -145,8 +145,8 @@ class LinearArray final : public Topology {
 
 /// 2-D mesh of rows x cols nodes, no wraparound, dimension-ordered
 /// routing: XY by default (first along the row to the destination column,
-/// then along the column), YX when `y_first` is set — the
-/// ablation_routing bench compares the two.  Node (r, c) has id
+/// then along the column), YX when `y_first` is set — the figure table's
+/// abl_routing entry compares the two.  Node (r, c) has id
 /// r * cols + c (row-major), matching the paper's processor indexing.
 class Mesh2D final : public Topology {
  public:
@@ -178,7 +178,7 @@ class Mesh2D final : public Topology {
 /// highest.  Not one of the paper's machines, but the natural home of the
 /// Br_Lin pattern — pairing i with i + p/2 is exactly a top-dimension
 /// exchange, so every halving iteration uses a dedicated link per node
-/// (see bench/ext_hypercube).
+/// (see the figure table's ext_hypercube entry).
 class Hypercube final : public Topology {
  public:
   explicit Hypercube(int dims);

@@ -2,10 +2,10 @@
 // halving/doubling allgatherv that modern MPI implementations use for the
 // s-to-p pattern.  Structurally it is Br_Lin's merge pattern, but each
 // received block lands at its pre-computed offset in the result buffer
-// (gatherv semantics), so there is no combining cost.  The ext_modern_mpi
-// bench uses it to show why MPI collectives absorbed this problem: the
-// combining cost was the only thing separating Br_Lin from a vendor-grade
-// collective.
+// (gatherv semantics), so there is no combining cost.  The figure table's
+// ext_modern_mpi entry uses it to show why MPI collectives absorbed this
+// problem: the combining cost was the only thing separating Br_Lin from a
+// vendor-grade collective.
 #pragma once
 
 #include "stop/algorithm.h"

@@ -17,7 +17,8 @@ class BrLin final : public Algorithm {
 /// a mesh, the indexing may correspond to a snake-like row-major
 /// indexing" — the same halving pattern over the boustrophedon order, so
 /// consecutive linear positions are always physical mesh neighbours.
-/// bench/ablation_snake compares it against the plain row-major order.
+/// The figure table's abl_snake entry compares it against the plain
+/// row-major order.
 class BrLinSnake final : public Algorithm {
  public:
   std::string name() const override { return "Br_Lin_snake"; }

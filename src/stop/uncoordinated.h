@@ -11,7 +11,7 @@
 // tree; messages are never combined; each rank forwards whatever tree
 // traffic arrives (trees are told apart by message tag).  s*(p-1)
 // messages total versus the O(p log p) of the coordinated algorithms —
-// bench/ext_uncoordinated measures where that bites.
+// the figure table's ext_uncoordinated entry measures where that bites.
 #pragma once
 
 #include "stop/algorithm.h"

@@ -29,7 +29,6 @@ TEST(BenchOptions, DefaultsAreAllUnset) {
   EXPECT_FALSE(o.sources.has_value());
   EXPECT_FALSE(o.len.has_value());
   EXPECT_FALSE(o.seed.has_value());
-  EXPECT_FALSE(o.reps.has_value());
   EXPECT_TRUE(o.out.empty());
   EXPECT_FALSE(o.jobs_set);
   EXPECT_GE(o.jobs, 1);
@@ -38,8 +37,8 @@ TEST(BenchOptions, DefaultsAreAllUnset) {
 TEST(BenchOptions, ParsesEveryUnifiedFlag) {
   Options o;
   ASSERT_EQ(parse({"--machine", "paragon8x8", "--dist", "R", "--sources",
-                   "8", "--len", "1024", "--seed", "7", "--reps", "3",
-                   "--jobs", "2", "--out", "x.csv"},
+                   "8", "--len", "1024", "--seed", "7", "--jobs", "2",
+                   "--out", "x.csv"},
                   o),
             "");
   EXPECT_EQ(o.machine.value(), "paragon8x8");
@@ -47,7 +46,6 @@ TEST(BenchOptions, ParsesEveryUnifiedFlag) {
   EXPECT_EQ(o.sources.value(), 8);
   EXPECT_EQ(o.len.value(), 1024u);
   EXPECT_EQ(o.seed.value(), 7u);
-  EXPECT_EQ(o.reps.value(), 3);
   EXPECT_EQ(o.jobs, 2);
   EXPECT_TRUE(o.jobs_set);
   EXPECT_EQ(o.out, "x.csv");
@@ -65,7 +63,6 @@ TEST(BenchOptions, RejectsJunkValuesAndUnknownFlags) {
   EXPECT_NE(parse({"--sources", "eight"}, o), "");
   EXPECT_NE(parse({"--len", "4k"}, o), "");
   EXPECT_NE(parse({"--seed", "-1"}, o), "");
-  EXPECT_NE(parse({"--reps", "0"}, o), "");
   EXPECT_NE(parse({"--jobs"}, o), "");  // missing value
   EXPECT_NE(parse({"--bogus"}, o), "");
   EXPECT_NE(parse({"stray"}, o), "");  // positional not allowed by default
@@ -112,7 +109,6 @@ TEST(BenchOptions, OrHelpersFoldDefaults) {
   EXPECT_EQ(o.sources_or(5), 5);
   EXPECT_EQ(o.len_or(4096), 4096u);
   EXPECT_EQ(o.seed_or(42), 42u);
-  EXPECT_EQ(o.reps_or(2), 2);
   EXPECT_EQ(o.out_or("default.csv"), "default.csv");
 
   Options unset;
@@ -135,7 +131,7 @@ TEST(BenchOptions, UsageTextListsEverything) {
   const std::string u = usage_text("fig03", spec);
   for (const char* needle :
        {"usage: fig03", "Figure 3", "--machine", "--dist", "--sources",
-        "--len", "--seed", "--reps", "--jobs", "--out", "--quick", "--help",
+        "--len", "--seed", "--jobs", "--out", "--quick", "--help",
         "Swept axes"}) {
     EXPECT_NE(u.find(needle), std::string::npos) << needle;
   }

@@ -2,7 +2,10 @@
 // ext_planner use: hit/miss accounting, fault-context and machine
 // invalidation, peek, and byte-identical plans under concurrent planning
 // from many threads.  LRU order and zero-capacity rejection on one shard
-// are covered in tests/serve/sharded_cache_test.cpp.
+// are covered in tests/serve/sharded_cache_test.cpp.  Also the seeded
+// replay stream that spb_plan --replay, spb_serve --demo and ext_serve
+// drive through the cache: its first requests are pinned, so the three
+// drivers cannot drift apart.
 #include "plan/sharded_cache.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +16,7 @@
 
 #include "common/check.h"
 #include "machine/config.h"
+#include "plan/replay.h"
 #include "stop/problem.h"
 
 namespace spb::plan {
@@ -146,6 +150,26 @@ TEST(PlanCache, ConcurrentPlanningIsDeterministic) {
   EXPECT_EQ(stats.misses + stats.hits, stats.lookups());
   EXPECT_EQ(stats.misses, jobs.size());
   EXPECT_EQ(cache.size(), jobs.size());
+}
+
+TEST(ReplayStream, FirstRequestsOfParagon8x8Seed7) {
+  using K = dist::Kind;
+  const std::vector<ReplayRequest> want = {
+      {K::kDiagLeft, 16, 6389, 2}, {K::kEqual, 32, 1088, 1},
+      {K::kRandom, 16, 6875, 1},   {K::kRandom, 32, 563, 3},
+      {K::kEqual, 8, 1067, 3},     {K::kColumn, 8, 6646, 3},
+      {K::kBand, 24, 568, 3},      {K::kDiagLeft, 16, 6568, 2}};
+  ReplayStream stream(machine::paragon(8, 8).p, 7);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const ReplayRequest r = stream.next();
+    EXPECT_EQ(r.kind, want[i].kind);
+    EXPECT_EQ(r.sources, want[i].sources);
+    EXPECT_EQ(r.len, want[i].len);
+    EXPECT_EQ(r.dist_seed, want[i].dist_seed);
+  }
+  EXPECT_EQ(wire_line(want[0]),
+            R"({"op":"plan","dist":"Dl","sources":16,"len":6389,"seed":2})");
 }
 
 }  // namespace

@@ -18,11 +18,9 @@
 #include <iostream>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/check.h"
 #include "common/parse.h"
-#include "common/rng.h"
 #include "dist/distribution.h"
 #include "fault/fault.h"
 #include "machine/config.h"
@@ -30,6 +28,7 @@
 #include "obs/json.h"
 #include "obs/report.h"
 #include "plan/planner.h"
+#include "plan/replay.h"
 #include "plan/sharded_cache.h"
 #include "stop/algorithm.h"
 #include "stop/problem.h"
@@ -211,87 +210,24 @@ void run_single(std::ostream& os, const Options& opt,
   obs::write_run_report(os, ctx, result, machine.topology.get(), &ps);
 }
 
-/// One replay request: a problem from the fixed pool plus an in-bucket
-/// length jitter (same signature, different exact L — the bucketing is
-/// what makes the cache useful).
-struct Request {
-  dist::Kind kind;
-  int sources;
-  Bytes pool_len;
-  Bytes exact_len;
-  std::uint64_t dist_seed;
-};
-
-std::vector<Request> request_stream(const machine::MachineConfig& machine,
-                                    int count, std::uint64_t seed) {
-  const std::vector<int> s_pool = {
-      std::max(1, machine.p / 8), std::max(1, machine.p / 4),
-      std::max(1, (3 * machine.p) / 8), std::max(1, machine.p / 2)};
-  const std::vector<Bytes> len_pool = {512, 1024, 6144, 32768};
-  const auto& kinds = dist::all_kinds();
-
-  // The distinct-problem pool: 32 templates drawn once, then the stream
-  // samples from the pool.  ~N requests over 32 templates keeps the
-  // steady-state hit rate high without hand-tuning.
-  constexpr int kPoolSize = 32;
-  Rng pool_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  struct Template {
-    dist::Kind kind;
-    int sources;
-    Bytes len;
-    std::uint64_t dist_seed;
-  };
-  std::vector<Template> pool;
-  pool.reserve(kPoolSize);
-  for (int i = 0; i < kPoolSize; ++i) {
-    Template t;
-    t.kind = kinds[pool_rng.next_below(kinds.size())];
-    t.sources =
-        s_pool[pool_rng.next_below(s_pool.size())];
-    t.len =
-        len_pool[pool_rng.next_below(len_pool.size())];
-    t.dist_seed = 1 + pool_rng.next_below(4);
-    pool.push_back(t);
-  }
-
-  std::vector<Request> requests;
-  requests.reserve(static_cast<std::size_t>(count));
-  Rng stream_rng(seed);
-  for (int i = 0; i < count; ++i) {
-    const Template& t =
-        pool[stream_rng.next_below(pool.size())];
-    Request r;
-    r.kind = t.kind;
-    r.sources = t.sources;
-    r.pool_len = t.len;
-    // Jitter within the length bucket [2^b, 2^(b+1)): exact lengths vary,
-    // signatures don't.
-    r.exact_len = t.len + static_cast<Bytes>(stream_rng.next_below(
-                              static_cast<std::uint64_t>(t.len / 8 + 1)));
-    r.dist_seed = t.dist_seed;
-    requests.push_back(r);
-  }
-  return requests;
-}
-
 /// Replays the seeded request stream through the plan cache: every request
 /// is planned (cache hit or miss), and with --execute the predicted-best
 /// algorithm is also run.  Emits aggregate JSON.
 void run_replay(std::ostream& os, const Options& opt,
                 const machine::MachineConfig& machine,
                 const plan::Planner& planner) {
-  const std::vector<Request> requests =
-      request_stream(machine, opt.replay, opt.seed);
+  plan::ReplayStream stream(machine.p, opt.seed);
   plan::ShardedPlanCache cache(static_cast<std::size_t>(opt.cache_capacity),
                               /*shards=*/1);
 
   std::map<std::string, int> picks;  // algorithm -> times chosen
   double executed_us = 0;
   int executed_runs = 0;
-  for (const Request& r : requests) {
+  for (int i = 0; i < opt.replay; ++i) {
+    const plan::ReplayRequest r = stream.next();
     const stop::Problem problem = stop::make_problem(
-        machine, r.kind, r.sources, r.exact_len, r.dist_seed);
-    const plan::Plan plan = cache.plan(planner, problem.sources, r.exact_len,
+        machine, r.kind, r.sources, r.len, r.dist_seed);
+    const plan::Plan plan = cache.plan(planner, problem.sources, r.len,
                                        std::string(dist::kind_name(r.kind)),
                                        opt.faults.text);
     ++picks[plan.best()];
@@ -311,7 +247,7 @@ void run_replay(std::ostream& os, const Options& opt,
   w.field("machine", std::string_view(machine.name));
   w.field("p", machine.p);
   w.field("seed", opt.seed);
-  w.field("requests", static_cast<std::uint64_t>(requests.size()));
+  w.field("requests", static_cast<std::uint64_t>(opt.replay));
   w.key("cache");
   w.begin_object();
   w.field("capacity", static_cast<std::uint64_t>(cache.capacity()));

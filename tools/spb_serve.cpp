@@ -16,16 +16,14 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "common/check.h"
 #include "common/parse.h"
-#include "common/rng.h"
-#include "dist/distribution.h"
 #include "machine/config.h"
 #include "machine/registry.h"
 #include "obs/report.h"
+#include "plan/replay.h"
 #include "serve/server.h"
 
 namespace {
@@ -105,50 +103,6 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-/// The spb_plan --replay template pool, rendered as wire requests: 32
-/// seeded templates, the stream samples among them (high steady-state hit
-/// rate without hand-tuning), plus a closing stats barrier.
-void submit_demo(serve::Server& server, const machine::MachineConfig& mc,
-                 int count, std::uint64_t seed) {
-  const std::vector<int> s_pool = {
-      std::max(1, mc.p / 8), std::max(1, mc.p / 4),
-      std::max(1, (3 * mc.p) / 8), std::max(1, mc.p / 2)};
-  const std::vector<Bytes> len_pool = {512, 1024, 6144, 32768};
-  const auto& kinds = dist::all_kinds();
-
-  constexpr int kPoolSize = 32;
-  struct Template {
-    std::string dist;
-    int sources;
-    Bytes len;
-    std::uint64_t dist_seed;
-  };
-  Rng pool_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  std::vector<Template> pool;
-  pool.reserve(kPoolSize);
-  for (int i = 0; i < kPoolSize; ++i) {
-    Template t;
-    t.dist = dist::kind_name(kinds[pool_rng.next_below(kinds.size())]);
-    t.sources = s_pool[pool_rng.next_below(s_pool.size())];
-    t.len = len_pool[pool_rng.next_below(len_pool.size())];
-    t.dist_seed = 1 + pool_rng.next_below(4);
-    pool.push_back(t);
-  }
-
-  Rng stream_rng(seed);
-  for (int i = 0; i < count; ++i) {
-    const Template& t = pool[stream_rng.next_below(pool.size())];
-    const Bytes len = t.len + static_cast<Bytes>(stream_rng.next_below(
-                                  static_cast<std::uint64_t>(t.len / 8 + 1)));
-    std::ostringstream line;
-    line << "{\"op\":\"plan\",\"dist\":\"" << t.dist
-         << "\",\"sources\":" << t.sources << ",\"len\":" << len
-         << ",\"seed\":" << t.dist_seed << "}";
-    server.submit_line_wait(line.str());
-  }
-  server.submit_line_wait("{\"op\":\"stats\",\"deterministic\":true}");
-}
-
 int run_cli(int argc, char** argv) {
   const Options opt = parse(argc, argv);
   if (opt.server.machine == "list") {
@@ -167,8 +121,13 @@ int run_cli(int argc, char** argv) {
   serve::Server server(opt.server, os);
 
   if (opt.demo > 0) {
-    const machine::MachineConfig mc = machine::from_name(opt.server.machine);
-    submit_demo(server, mc, opt.demo, opt.seed);
+    // The plan replay stream as wire requests, then a closing stats
+    // barrier.
+    plan::ReplayStream stream(machine::from_name(opt.server.machine).p,
+                              opt.seed);
+    for (int i = 0; i < opt.demo; ++i)
+      server.submit_line_wait(plan::wire_line(stream.next()));
+    server.submit_line_wait("{\"op\":\"stats\",\"deterministic\":true}");
   } else {
     std::ifstream in_file;
     if (!opt.in.empty()) {
