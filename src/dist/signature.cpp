@@ -1,6 +1,7 @@
 #include "dist/signature.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -11,8 +12,12 @@ std::uint64_t hash_mix(std::uint64_t seed, std::uint64_t value) {
   return splitmix64(state);
 }
 
-std::uint64_t source_multiset_hash(std::vector<Rank> sources) {
-  std::sort(sources.begin(), sources.end());
+std::uint64_t source_multiset_hash(std::span<const Rank> sources) {
+  if (!std::is_sorted(sources.begin(), sources.end())) {
+    std::vector<Rank> sorted(sources.begin(), sources.end());
+    std::sort(sorted.begin(), sorted.end());
+    return source_multiset_hash(sorted);
+  }
   // Non-zero start so the empty multiset does not collide with {0}.
   std::uint64_t h = 0x5b7c6a4d3e2f1908ULL;
   h = hash_mix(h, static_cast<std::uint64_t>(sources.size()));

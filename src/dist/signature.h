@@ -5,16 +5,18 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/types.h"
 
 namespace spb::dist {
 
-/// Order-independent hash of a source multiset: the input is copied,
-/// sorted, and folded through a splitmix64 chain.  Duplicate ranks (not
-/// produced by the generators, but accepted) contribute per occurrence.
-std::uint64_t source_multiset_hash(std::vector<Rank> sources);
+/// Order-independent hash of a source multiset: the ranks are folded in
+/// ascending order through a splitmix64 chain.  Every generator's output
+/// is sorted already; any other list is hashed through a sorted copy.
+/// Duplicate ranks (not produced by the generators, but accepted)
+/// contribute per occurrence.
+std::uint64_t source_multiset_hash(std::span<const Rank> sources);
 
 /// Hash-chaining step shared by the signature scheme: mixes `value` into
 /// `seed` with a splitmix64 round (not commutative — order matters, which

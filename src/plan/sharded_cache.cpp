@@ -56,7 +56,7 @@ Plan ShardedPlanCache::plan(const Signature& sig,
 }
 
 std::shared_ptr<const Plan> ShardedPlanCache::plan_shared(
-    const Signature& sig, const std::function<Plan()>& compute) {
+    const Signature& sig, ComputeRef compute) {
   const std::uint64_t key = sig.key();
   Shard& sh = *shards_[shard_of(key)];
 

@@ -36,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -69,6 +70,30 @@ struct CacheStats {
   }
 };
 
+/// A non-owning reference to a `Plan()` callable: plan_shared() takes its
+/// compute step through one, so a hit builds no std::function (a lambda
+/// capturing four references outgrows std::function's inline buffer, and
+/// every call allocated).  The callable must outlive the call it is passed
+/// to, as a lambda written in the argument list does.
+class ComputeRef {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ComputeRef> &&
+             std::is_invocable_r_v<Plan, F&>)
+  ComputeRef(F&& compute)  // NOLINT(google-explicit-constructor)
+      : callable_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(compute)))),
+        call_([](void* callable) -> Plan {
+          return (*static_cast<std::remove_reference_t<F>*>(callable))();
+        }) {}
+
+  Plan operator()() const { return call_(callable_); }
+
+ private:
+  void* callable_;
+  Plan (*call_)(void*);
+};
+
 class ShardedPlanCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 1024;
@@ -96,8 +121,8 @@ class ShardedPlanCache {
 
   /// plan() without the copy: the serve hot path shares the cached entry
   /// (immutable once published; the pointer stays valid across evictions).
-  std::shared_ptr<const Plan> plan_shared(
-      const Signature& sig, const std::function<Plan()>& compute);
+  std::shared_ptr<const Plan> plan_shared(const Signature& sig,
+                                          ComputeRef compute);
 
   /// Cached lookup without planning: true and fills `out` on a hit (does
   /// not count toward the statistics and never waits on in-flight plans).

@@ -75,6 +75,14 @@ double LatencyHistogram::Snapshot::percentile_us(double p) const {
   return max_us;
 }
 
+LatencyHistogram::Snapshot& LatencyHistogram::Snapshot::operator+=(
+    const Snapshot& other) {
+  for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
+  total += other.total;
+  if (other.max_us > max_us) max_us = other.max_us;
+  return *this;
+}
+
 void LatencyHistogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   total_.store(0, std::memory_order_relaxed);

@@ -1,8 +1,9 @@
 // Fixed-bucket latency histogram for the serve layer's per-request
 // percentiles.  64 geometric buckets (half-octave resolution) spanning
-// 0.25us to ~20 minutes; record() is two relaxed atomic ops, so worker
-// threads share one histogram without contention, and percentile queries
-// walk a snapshot of the counters.
+// 0.25us to ~20 minutes; record() is two relaxed atomic increments and a
+// running-maximum CAS.  The server gives every worker a histogram of its
+// own, so those atomics never bounce a cache line between workers, and
+// answers queries from the sum of the workers' snapshots.
 //
 // Percentiles are reported as the upper edge of the bucket holding the
 // requested rank — a <= 41% overestimate by construction (sqrt(2) bucket
@@ -36,6 +37,10 @@ class LatencyHistogram {
     /// 0 when the histogram is empty.  Clamped to max_us so the tail
     /// bucket's edge never overstates an observed maximum.
     double percentile_us(double p) const;
+
+    /// Adds another snapshot's samples: the sum answers exactly as one
+    /// histogram fed both sets of samples would.
+    Snapshot& operator+=(const Snapshot& other);
   };
   Snapshot snapshot() const;
 

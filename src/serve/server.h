@@ -2,14 +2,27 @@
 //
 // One Server owns a fixed worker pool, a bounded FIFO admission queue, a
 // ShardedPlanCache (misses coalesce: concurrent identical signatures plan
-// once), a per-machine planner memo, and a latency histogram.  Lines go in
-// through submit_line(); JSONL responses come out on the ostream, always
-// in submission order — responses that finish early wait in a ring of
-// slots indexed by sequence number, so output is byte-identical no matter
-// how many workers served the session (the ext_serve gate pins this for
-// plan traffic).  Whichever thread completes the next response in order
-// becomes the one writer: it takes the ready run out of the ring and
-// writes it outside the ring's lock, with one flush per run.
+// once), a per-machine planner memo, and per-worker latency histograms.
+// Lines go in through submit_line(); JSONL responses come out on the
+// ostream, always in submission order — responses that finish early wait
+// in a ring of slots indexed by sequence number, so output is
+// byte-identical no matter how many workers served the session (the
+// ext_serve gate pins this for plan traffic).  Whichever thread completes
+// the next response in order becomes the one writer: it takes the ready
+// run out of the ring and writes it outside the ring's lock, with one
+// write and one flush per run.
+//
+// A warm cache hit touches no shared structure but the cache shard and
+// the two rings, and allocates nothing: each worker memoizes what a
+// request template (machine, dist, sources, seed, faults) resolves to —
+// its planner and its signature up to the length bucket — so a repeated
+// template skips the planner lookup, source generation and signature
+// build; jobs and responses live in ring slots that are reused, and a
+// response is formatted into a buffer whose capacity circulates between
+// the worker and the output ring.  The hot-path mutexes are taken with a
+// short try_lock spin before blocking, and an idle worker polls the
+// queue briefly before it parks, so a steady stream needs no futex sleep
+// or wake-up and an idle server uses no CPU.
 //
 // Admission control is explicit: when the queue is at max_queue, the line
 // is answered immediately with {"ok":false,"error":"overloaded"} — the
@@ -30,12 +43,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -82,6 +95,11 @@ struct RequestCounters {
 
 class Server {
  public:
+  /// Request templates each worker memoizes (a fixed table; templates
+  /// whose machine, dist and faults text run past 64 bytes in all are not
+  /// memoized).
+  static constexpr std::size_t kTemplateMemoEntries = 256;
+
   /// Responses are written to `out` (one JSON object per line, submission
   /// order).  The default machine's planner is built eagerly so the first
   /// request does not pay for it.
@@ -114,7 +132,8 @@ class Server {
   }
   const plan::ShardedPlanCache& cache() const { return cache_; }
   RequestCounters counters() const;
-  LatencyHistogram::Snapshot latency() const { return latency_.snapshot(); }
+  /// The sum of the workers' latency histograms.
+  LatencyHistogram::Snapshot latency() const;
   std::uint64_t queue_max_depth() const;
 
   /// The obs serve-report section for this session (throughput fields are
@@ -126,9 +145,6 @@ class Server {
     std::uint64_t seq = 0;
     Request req;
     std::chrono::steady_clock::time_point t0;
-    /// A stats fence being processed in place (stays at the front so no
-    /// later job starts underneath the snapshot).
-    bool claimed = false;
   };
   enum class Outcome { kPlan, kExecute, kStats, kError, kShed };
   /// One response waiting for its turn to be written.
@@ -137,16 +153,42 @@ class Server {
     Outcome outcome = Outcome::kError;
     bool ready = false;
   };
+  /// A finished response on its way into the output ring.
+  struct Response {
+    std::uint64_t seq = 0;
+    Outcome outcome = Outcome::kError;
+    std::string text;
+  };
+  struct Template;
+  class TemplateMemo;
+  struct Worker;
 
   void submit_internal(std::string_view line, bool block);
-  void worker_loop();
-  bool can_take_front() const;  // queue_mu_ held
-  void process(const Job& job);
-  std::string handle_plan(const Job& job, std::uint64_t rid);
-  std::string handle_execute(const Job& job, std::uint64_t rid);
-  std::string handle_stats(const Job& job, std::uint64_t rid);
+  void worker_loop(Worker& w);
+  // The job ring; queue_mu_ held for all but spin_for_job().
+  Job& job_at(std::uint64_t i) { return jobs_[i & (jobs_.size() - 1)]; }
+  std::uint64_t depth() const { return tail_ - head_; }
+  bool can_take_front() const;
+  void publish_takeable();
+  bool await_job(std::unique_lock<std::mutex>& lock);
+  bool claim_wake();
+  bool spin_for_job() const;
+  void process(Job& job, Worker& w, Response& r);
+  void handle_plan(const Request& req, std::uint64_t rid, Worker& w,
+                   std::string& text);
+  void handle_execute(const Request& req, std::uint64_t rid, Worker& w,
+                      std::string& text);
+  void handle_stats(const Request& req, std::uint64_t rid,
+                    std::string& text);
+  std::shared_ptr<const plan::Plan> cached_plan(const Request& req,
+                                                Worker& w, Template& t,
+                                                std::vector<Rank>& sources);
+  Template resolve(const Request& req, std::vector<Rank>& sources);
   const plan::Planner& planner_for(const std::string& machine_name);
-  void emit(std::uint64_t seq, std::string text, Outcome outcome);
+  void emit(std::span<Response> responses);
+  Slot& slot_of(std::uint64_t seq) {  // out_mu_ held
+    return ring_[seq & (ring_.size() - 1)];
+  }
   void count(Outcome outcome);  // out_mu_ held
   void await_output(std::uint64_t seq);
 
@@ -154,28 +196,46 @@ class Server {
   std::ostream& out_;
 
   plan::ShardedPlanCache cache_;
-  LatencyHistogram latency_;
 
   mutable std::mutex planners_mu_;
   std::map<std::string, std::unique_ptr<plan::Planner>> planners_;
 
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::condition_variable space_cv_;  // signaled when jobs are popped
-  std::deque<Job> queue_;
-  std::uint64_t queue_max_depth_ = 0;
+  // Admission.  jobs_ is a ring of reused slots (a power of two, grown on
+  // demand up to max_queue): jobs_[i & (size - 1)] holds job i for i in
+  // [head_, tail_).  A claimed stats fence keeps its slot at head_ until
+  // it completes.
+  alignas(64) mutable std::mutex queue_mu_;
+  std::condition_variable queue_cv_;  // parked workers
+  std::condition_variable space_cv_;  // submitters waiting for space
+  std::vector<Job> jobs_;
+  std::uint64_t head_ = 0;
+  std::uint64_t tail_ = 0;
+  bool fence_claimed_ = false;
   bool stopping_ = false;
+  bool wake_pending_ = false;  // a parked worker was woken, not yet running
+  int spinning_ = 0;           // workers polling takeable_
+  int parked_ = 0;             // workers waiting on queue_cv_
+  int spin_limit_ = 0;         // most workers that may spin at once
+  std::uint64_t space_waiters_ = 0;
+  std::uint64_t queue_max_depth_ = 0;
+  /// can_take_front() as of the last change under queue_mu_, for workers
+  /// that poll the ring without the lock.
+  std::atomic<bool> takeable_{false};
+  std::atomic<std::uint64_t> submitted_{0};
 
-  mutable std::mutex out_mu_;
+  alignas(64) mutable std::mutex out_mu_;
   std::condition_variable out_cv_;  // next_out_ advanced
-  std::deque<Slot> ring_;           // ring_[i] holds seq ring_base_ + i
+  std::vector<Slot> ring_;          // ring_[seq & (size - 1)], a power of two
   std::uint64_t ring_base_ = 0;     // first seq not yet taken by a writer
   std::uint64_t next_out_ = 0;      // first seq not yet written
   bool writing_ = false;            // a thread is writing a run
-  std::vector<std::string> run_;    // the writer's run, written unlocked
+  std::string run_;                 // the writer's run, written unlocked
+  /// Emptied response strings, for reuse.  Strings are never freed, so
+  /// there are only ever as many as were once in flight together.
+  std::vector<std::string> spare_;
   RequestCounters counters_;        // bumped as a run is taken
-  std::atomic<std::uint64_t> submitted_{0};
 
+  std::vector<std::unique_ptr<Worker>> worker_state_;
   std::vector<std::thread> workers_;
 };
 

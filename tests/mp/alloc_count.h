@@ -1,6 +1,7 @@
-// Heap-allocation counting for test_mp: alloc_count.cpp replaces the
-// global operator new of the whole binary, so a test can prove that an
-// operation allocates nothing (or a fixed amount), or bound its bytes.
+// Heap-allocation counting for test_mp and test_serve: alloc_count.cpp
+// replaces the global operator new of the whole binary, so a test can
+// prove that an operation allocates nothing (or a fixed amount), or bound
+// its bytes.
 #pragma once
 
 #include <cstddef>
@@ -12,5 +13,8 @@ std::size_t allocations_here();
 
 /// Bytes requested by those allocations (frees are not subtracted).
 std::size_t bytes_allocated_here();
+
+/// Heap allocations made by every thread of the process so far.
+std::size_t allocations_in_process();
 
 }  // namespace spb::test

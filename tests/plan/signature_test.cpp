@@ -42,10 +42,26 @@ TEST(SourceMultisetHash, OrderIndependent) {
   EXPECT_EQ(dist::source_multiset_hash(sorted),
             dist::source_multiset_hash(shuffled));
   // Different multiset, different hash.
-  EXPECT_NE(dist::source_multiset_hash({1, 5, 9, 22, 62}),
+  EXPECT_NE(dist::source_multiset_hash(std::vector<Rank>{1, 5, 9, 22, 62}),
             dist::source_multiset_hash(sorted));
-  EXPECT_NE(dist::source_multiset_hash({1, 5, 9, 22}),
+  EXPECT_NE(dist::source_multiset_hash(std::vector<Rank>{1, 5, 9, 22}),
             dist::source_multiset_hash(sorted));
+}
+
+TEST(SourceMultisetHash, ValuesArePinned) {
+  // Sorted lists are hashed in place and any other order through a sorted
+  // copy; both must keep every cached signature's value.  The constants
+  // are what the copy-and-sort implementation computed.
+  const auto hash = [](std::vector<Rank> ranks) {
+    return dist::source_multiset_hash(ranks);
+  };
+  EXPECT_EQ(hash({1, 5, 9, 22, 63}), 0x400a58f6e0f2e880ULL);
+  EXPECT_EQ(hash({63, 9, 1, 22, 5}), 0x400a58f6e0f2e880ULL);
+  EXPECT_EQ(hash({3, 3, 7, 7, 7, 12}), 0xc3d6df760306a21aULL);
+  EXPECT_EQ(hash({12, 7, 3, 7, 3, 7}), 0xc3d6df760306a21aULL);
+  EXPECT_EQ(hash({}), 0x1ca4e036692c881bULL);
+  EXPECT_EQ(hash({0}), 0x755e219294667852ULL);
+  EXPECT_EQ(hash({4095}), 0x51408709c8d66ba2ULL);
 }
 
 TEST(Signature, SameMultisetSameKey) {

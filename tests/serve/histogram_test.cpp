@@ -1,5 +1,6 @@
 // LatencyHistogram: bucket geometry, percentile ordering and clamping,
-// reset, and lossless counting under concurrent recording.
+// reset, lossless counting under concurrent recording, and merged
+// per-worker snapshots.
 #include "serve/histogram.h"
 
 #include <gtest/gtest.h>
@@ -151,6 +152,36 @@ TEST(LatencyHistogram, ConcurrentRecordLosesNothing) {
   for (const std::uint64_t c : s.counts) sum += c;
   EXPECT_EQ(sum, s.total);
   EXPECT_EQ(s.max_us, 1000.0);
+}
+
+TEST(LatencyHistogram, MergedSnapshotsEqualOneHistogram) {
+  // The server keeps one histogram per worker and sums their snapshots:
+  // the sum must answer exactly as one histogram fed every sample.
+  LatencyHistogram one;
+  LatencyHistogram parts[3];
+  for (int i = 0; i < 3000; ++i) {
+    // Spread over many buckets, with the maximum in the middle part and
+    // non-positive samples mixed in.
+    const double us = i % 101 == 0 ? -1.0 : 0.1 * (1 + (i * 7919) % 40000);
+    one.record(us);
+    parts[i % 3].record(us);
+  }
+  parts[1].record(123456.0);
+  one.record(123456.0);
+
+  LatencyHistogram::Snapshot merged;
+  for (const LatencyHistogram& h : parts) merged += h.snapshot();
+  const LatencyHistogram::Snapshot want = one.snapshot();
+  EXPECT_EQ(merged.counts, want.counts);
+  EXPECT_EQ(merged.total, want.total);
+  EXPECT_EQ(merged.max_us, want.max_us);
+  for (const double p : {0.5, 10.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0})
+    EXPECT_EQ(merged.percentile_us(p), want.percentile_us(p)) << "p" << p;
+
+  // An empty part changes nothing.
+  merged += LatencyHistogram().snapshot();
+  EXPECT_EQ(merged.counts, want.counts);
+  EXPECT_EQ(merged.max_us, want.max_us);
 }
 
 }  // namespace

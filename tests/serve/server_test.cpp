@@ -1,26 +1,40 @@
 // serve::Server behavior: coalescing under simultaneous identical
 // requests (exactly one planner invocation), bounded-queue load shedding
 // with well-formed responses, in-order output, byte-identity across
-// worker counts, the stats fence, error recovery, and the output path
-// under many threads taking turns as the writer.
+// worker counts, the stats fence, error recovery, the output path under
+// many threads taking turns as the writer, and the hot path's costs: warm
+// cache hits that allocate nothing, idle workers that sleep, and a
+// template memo that answers as the direct computation does.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <future>
+#include <limits>
+#include <map>
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "../mp/alloc_count.h"
+#include "dist/distribution.h"
+#include "dist/grid.h"
+#include "machine/config.h"
+#include "plan/planner.h"
+#include "plan/signature.h"
 #include "serve/json_value.h"
+#include "serve/protocol.h"
 
 namespace spb::serve {
 namespace {
@@ -453,6 +467,190 @@ TEST(Server, ConcurrentWritersKeepOrderAndExactFences) {
   }
   // The shedding path did shed, so the submitter wrote shed responses.
   EXPECT_GT(shed, 0u);
+}
+
+/// A response stream that drops everything written to it.
+class DiscardBuf : public std::streambuf {
+ protected:
+  int_type overflow(int_type ch) override { return traits_type::not_eof(ch); }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    return n;
+  }
+};
+
+TEST(Server, WarmCacheHitsDoNotAllocate) {
+  // Template traffic on a warm server: each request hits its worker's
+  // template memo and the plan cache, travels in reused job and output
+  // slots and is formatted into a reused buffer.  The first pass warms
+  // every worker's memo and grows the rings.  A worker descheduled while
+  // it holds the oldest response makes the responses behind it wait in
+  // the output ring, and a backlog longer than any before it allocates
+  // strings for its excess: that is the host's scheduling, not the hit
+  // path, so the best of up to three measured passes is bounded.
+  constexpr int kRequests = 10000;
+  const char* const dists[] = {"R", "C", "E", "Dr", "B", "Cr", "Sq", "Rand"};
+  std::vector<std::string> lines;
+  lines.reserve(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    const int t = i % 24;  // 24 templates
+    lines.push_back(R"({"op":"plan","id":)" + std::to_string(i) +
+                    R"(,"dist":")" + dists[t % 8] + R"(","sources":)" +
+                    std::to_string(2 + 2 * (t / 8)) + R"(,"len":)" +
+                    std::to_string(1024 + i % 512) + R"(,"seed":3})");
+  }
+
+  ServerOptions options;
+  options.machine = "paragon4x4";
+  options.workers = 3;
+  DiscardBuf discard;
+  std::ostream out(&discard);
+  Server server(options, out);
+  for (const std::string& line : lines) server.submit_line_wait(line);
+  server.drain();
+
+  std::size_t allocations = std::numeric_limits<std::size_t>::max();
+  int measured = 0;
+  while (measured < 3 && allocations >= kRequests / 10) {
+    const std::size_t before = test::allocations_in_process();
+    for (const std::string& line : lines) server.submit_line_wait(line);
+    server.drain();
+    allocations =
+        std::min(allocations, test::allocations_in_process() - before);
+    ++measured;
+  }
+
+  EXPECT_EQ(server.counters().plan,
+            static_cast<std::uint64_t>(1 + measured) * kRequests);
+  EXPECT_EQ(server.cache_stats().misses, 24u);
+  EXPECT_LT(static_cast<double>(allocations) / kRequests, 0.1)
+      << allocations << " allocations for " << kRequests << " requests";
+}
+
+TEST(Server, IdleWorkersPark) {
+  // Idle workers poll the queue only briefly before they sleep: over half
+  // a second without requests, a 4-worker server uses under 100 ms of
+  // CPU in all.
+  ServerOptions options;
+  options.machine = "paragon4x4";
+  options.workers = 4;
+  std::ostringstream out;
+  Server server(options, out);
+  for (int i = 0; i < 16; ++i)
+    server.submit_line_wait(
+        R"({"op":"plan","dist":"R","sources":4,"len":2048})");
+  server.drain();
+
+  const std::clock_t cpu0 = std::clock();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu_ms = 1000.0 * static_cast<double>(std::clock() - cpu0) /
+                        CLOCKS_PER_SEC;
+  EXPECT_LT(cpu_ms, 100.0);
+}
+
+TEST(Server, TemplateMemoMatchesDirectSignatures) {
+  // More distinct templates than one worker's memo holds, so its sets
+  // overflow and entries are replaced while their keys come back; the
+  // default machine both named and unnamed, explicit and default source
+  // counts, Rand seeds, fault contexts (one too long to memoize), and an
+  // unknown dist before and after its valid twin.  Every response must
+  // equal a direct generate + make_signature + planner answer, and an
+  // error must stay an error.
+  const machine::MachineConfig mc = machine::from_name("paragon4x4");
+  const plan::Planner planner(mc);
+  struct Spec {
+    std::string machine;
+    std::string dist;
+    int sources = 0;
+    std::uint64_t seed = 1;
+    std::string faults;
+  };
+  std::vector<Spec> specs;
+  // Seeds move only Rand's sources, so these keys share a few signatures
+  // and the planner runs rarely.
+  for (std::uint64_t seed = 1; seed <= 25; ++seed)
+    for (const char* dist : {"R", "C", "B", "Sq"})
+      for (const char* name : {"", "paragon4x4"})
+        for (const int sources : {0, 4, 6})
+          specs.push_back({name, dist, sources, seed, ""});
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    specs.push_back({"", "Rand", 5, seed, ""});
+  for (const char* faults :
+       {"drop=0.1", "7:drop=0.1",
+        "42:drop=0.1,links=0.25x4,lat=2,straggle=1x3,window=500,dup=0.2"})
+    specs.push_back({"paragon4x4", "E", 4, 1, faults});
+  ASSERT_GT(specs.size(), 2 * Server::kTemplateMemoEntries);
+
+  std::vector<std::string> lines;
+  std::vector<std::string> want;  // signature and best, or an error
+  std::map<std::uint64_t, std::string> best_of;  // by signature key
+  const auto add = [&](const Spec& spec, std::uint64_t len) {
+    const std::string id = std::to_string(lines.size());
+    std::string line = R"({"op":"plan","id":)" + id;
+    if (!spec.machine.empty()) line += R"(,"machine":")" + spec.machine + '"';
+    line += R"(,"dist":")" + spec.dist + '"';
+    if (spec.sources != 0)
+      line += R"(,"sources":)" + std::to_string(spec.sources);
+    line += R"(,"len":)" + std::to_string(len) + R"(,"seed":)" +
+            std::to_string(spec.seed);
+    if (!spec.faults.empty()) line += R"(,"faults":")" + spec.faults + '"';
+    lines.push_back(line + "}");
+    if (spec.dist == "r") {
+      want.push_back("error");
+      return;
+    }
+    const int s = spec.sources != 0 ? spec.sources : std::max(2, mc.p / 4);
+    const std::vector<Rank> sources =
+        dist::generate(dist::kind_from_name(spec.dist),
+                       dist::Grid{mc.rows, mc.cols}, s, spec.seed);
+    const plan::Signature sig =
+        plan::make_signature(mc, sources, len, spec.dist, spec.faults);
+    auto it = best_of.find(sig.key());
+    if (it == best_of.end())
+      it = best_of
+               .emplace(sig.key(),
+                        planner.plan(sources, len, spec.dist, spec.faults)
+                            .best())
+               .first;
+    want.push_back(R"("signature":")" + signature_hex(sig) +
+                   R"(","best":")" + it->second + '"');
+  };
+  // The unknown dist "r", then its twin "R", then "r" again.
+  const Spec twin{"", "R", 4, 1, ""};
+  Spec unknown = twin;
+  unknown.dist = "r";
+  add(unknown, 2048);
+  add(twin, 2048);
+  add(unknown, 2048);
+  // Every key twice, the second pass in reverse with other lengths.
+  for (const Spec& spec : specs) add(spec, 2048);
+  for (auto it = specs.rbegin(); it != specs.rend(); ++it) add(*it, 5000);
+  add(unknown, 2048);
+
+  for (const int workers : {1, 3}) {
+    ServerOptions options;
+    options.machine = "paragon4x4";
+    options.workers = workers;
+    std::ostringstream out;
+    {
+      Server server(options, out);
+      for (const std::string& line : lines) server.submit_line_wait(line);
+      server.drain();
+    }
+    const std::vector<std::string> got = lines_of(out.str());
+    ASSERT_EQ(got.size(), lines.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (want[i] == "error") {
+        EXPECT_NE(got[i].find(R"("ok":false)"), std::string::npos) << got[i];
+        EXPECT_NE(got[i].find("unknown distribution name 'r'"),
+                  std::string::npos)
+            << got[i];
+      } else {
+        EXPECT_NE(got[i].find(want[i]), std::string::npos)
+            << "workers " << workers << ", request " << lines[i] << "\ngot "
+            << got[i] << "\nwant " << want[i];
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -71,8 +71,10 @@ struct Options {
   verify::SweepOptions sweep;
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr
+/// Prints the usage and exits: to stdout with status 0 for --help, to
+/// stderr with status 2 after a bad command line.
+[[noreturn]] void usage(const char* argv0, int status = 2) {
+  (status == 0 ? std::cout : std::cerr)
       << "usage: " << argv0 << " [options]\n"
       << "  --certify      model-check and certify instead of analyzing\n"
       << "  --machine M    all (default; --certify: paragon4x4) | "
@@ -100,7 +102,7 @@ struct Options {
       << "                 output is byte-identical for every N\n"
       << "  --list         print algorithm and distribution names\n"
       << "  --verbose      print the full report for every combo\n";
-  std::exit(2);
+  std::exit(status);
 }
 
 Options parse(int argc, char** argv) {
@@ -112,6 +114,7 @@ Options parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    if (a == "--help" || a == "-h") usage(argv[0], 0);
     if (a == "--certify") {
       s.certify = true;
     } else if (a == "--machine") {

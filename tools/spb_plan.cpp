@@ -52,8 +52,10 @@ struct Options {
   std::string out;  // "" = stdout
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr
+/// Prints the usage and exits: to stdout with status 0 for --help, to
+/// stderr with status 2 after a bad command line.
+[[noreturn]] void usage(const char* argv0, int status = 2) {
+  (status == 0 ? std::cout : std::cerr)
       << "usage: " << argv0 << " [options]\n"
       << "  --machine M        " << machine::Registry::instance().grammar()
       << "\n"
@@ -70,7 +72,7 @@ struct Options {
       << "  --cache-capacity N plan cache capacity (default 1024)\n"
       << "  --out FILE         write the JSON here (default stdout)\n"
       << "  --list             print algorithm and distribution names\n";
-  std::exit(2);
+  std::exit(status);
 }
 
 Options parse(int argc, char** argv) {
@@ -81,6 +83,7 @@ Options parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    if (a == "--help" || a == "-h") usage(argv[0], 0);
     if (a == "--machine") {
       o.machine = next(i);
     } else if (a == "--dist") {

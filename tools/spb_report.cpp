@@ -46,8 +46,10 @@ struct Options {
   bool heatmap = false;
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr
+/// Prints the usage and exits: to stdout with status 0 for --help, to
+/// stderr with status 2 after a bad command line.
+[[noreturn]] void usage(const char* argv0, int status = 2) {
+  (status == 0 ? std::cout : std::cerr)
       << "usage: " << argv0 << " [options]\n"
       << "  --machine M      " << machine::Registry::instance().grammar()
       << "\n"
@@ -64,7 +66,7 @@ struct Options {
       << "  --chrome-trace FILE    also export the Perfetto/Chrome trace\n"
       << "  --heatmap        print an ASCII link heatmap to stderr\n"
       << "  --list           print algorithm and distribution names\n";
-  std::exit(2);
+  std::exit(status);
 }
 
 Options parse(int argc, char** argv) {
@@ -75,6 +77,7 @@ Options parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    if (a == "--help" || a == "-h") usage(argv[0], 0);
     if (a == "--machine") {
       o.machine = next(i);
     } else if (a == "--dist") {

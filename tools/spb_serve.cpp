@@ -40,8 +40,10 @@ struct Options {
   bool shed = false;  // non-blocking admission (answer "overloaded")
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr
+/// Prints the usage and exits: to stdout with status 0 for --help, to
+/// stderr with status 2 after a bad command line.
+[[noreturn]] void usage(const char* argv0, int status = 2) {
+  (status == 0 ? std::cout : std::cerr)
       << "usage: " << argv0 << " [options] < requests.jsonl\n"
       << "  --machine M         default machine for requests that do not\n"
       << "                      name one (default paragon8x8; list =\n"
@@ -60,7 +62,7 @@ struct Options {
       << "  --demo N            serve N seeded plan requests from the\n"
       << "                      built-in template pool (ignores stdin)\n"
       << "  --seed N            demo stream seed (default 1)\n";
-  std::exit(2);
+  std::exit(status);
 }
 
 Options parse(int argc, char** argv) {
@@ -71,6 +73,7 @@ Options parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    if (a == "--help" || a == "-h") usage(argv[0], 0);
     if (a == "--machine") {
       o.server.machine = next(i);
     } else if (a == "--workers") {

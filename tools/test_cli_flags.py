@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Flags of the spb CLIs: bad values exit 2 naming the flag.
+"""Flags of the spb CLIs: bad values exit 2 naming the flag, --help exits 0.
 
     python3 tools/test_cli_flags.py PATHS...
 
@@ -10,7 +10,8 @@ at the first junk character (--s 3abc ran with s = 3), negatives must be
 rejected, and a message length above the wire limit of 2^40 bytes must be
 refused instead of wrapping the wire size.  spb_check's two modes share
 one source-count rule and one error rule, and the three simulating CLIs
-one --faults parser.
+one --faults parser.  --help and -h print the usage to stdout and exit 0,
+as the bench CLIs do.
 """
 
 import json
@@ -39,6 +40,25 @@ class CliFlags(unittest.TestCase):
         code, err = run(tool, *args)
         self.assertEqual(code, 2, f"{tool} {' '.join(args)}: {err}")
         self.assertIn(needle, err, f"{tool} {' '.join(args)}")
+
+    def expect_help(self, tool):
+        for flag in ("--help", "-h"):
+            proc = run_full(tool, flag)
+            self.assertEqual(proc.returncode, 0, f"{tool} {flag}: {proc.stderr}")
+            self.assertTrue(proc.stdout.startswith("usage: "), proc.stdout)
+            self.assertEqual(proc.stderr, "", f"{tool} {flag}")
+
+    def test_check_help(self):
+        self.expect_help("spb_check")
+
+    def test_plan_help(self):
+        self.expect_help("spb_plan")
+
+    def test_report_help(self):
+        self.expect_help("spb_report")
+
+    def test_serve_help(self):
+        self.expect_help("spb_serve")
 
     def test_int_flags_do_not_narrow(self):
         for tool in ("spb_report", "spb_plan"):
