@@ -85,12 +85,14 @@ struct Options {
   }
 };
 
-/// What a bench tells the parser about itself.
+/// What a bench tells the parser about itself.  Benches name only the
+/// fields they set; the `{}` initializers keep GCC's
+/// -Wmissing-field-initializers quiet about the rest.
 struct ParseSpec {
   std::string description;  // one line under "usage:" in --help
-  std::vector<ExtraFlag> extras;
+  std::vector<ExtraFlag> extras{};
   bool allow_positional = false;
-  std::string positional_help;  // e.g. "[out.json]"
+  std::string positional_help{};  // e.g. "[out.json]"
 };
 
 /// Non-exiting parse core: fills `out`, returns "" on success or an error

@@ -9,16 +9,74 @@ namespace spb::coll {
 
 namespace {
 
-struct Segment {
-  int lo = 0;
-  int n = 0;
-};
+/// Walks the halving recursion over n positions: for each iteration, calls
+/// begin(iter), then split(lo, h, len) for every segment [lo, lo + len) of
+/// at least two positions in position order, h = ceil(len / 2) being where
+/// it halves.  A one-position segment has no partner left and drops out.
+/// The two segment lists are reserved once (a level never has more than
+/// n / 2 segments of two or more positions).
+template <typename Begin, typename Split>
+void walk(int n, int iterations, Begin&& begin, Split&& split) {
+  struct Segment {
+    int lo;
+    int len;
+  };
+  std::vector<Segment> segments;
+  std::vector<Segment> children;
+  segments.reserve(static_cast<std::size_t>(n) / 2 + 1);
+  children.reserve(static_cast<std::size_t>(n) / 2 + 1);
+  if (n > 1) segments.push_back({0, n});
+  for (int iter = 0; iter < iterations; ++iter) {
+    begin(iter);
+    children.clear();
+    for (const Segment& seg : segments) {
+      const int h = static_cast<int>(ceil_div(seg.len, 2));
+      split(seg.lo, h, seg.len);
+      if (h > 1) children.push_back({seg.lo, h});
+      if (seg.len - h > 1) children.push_back({seg.lo + h, seg.len - h});
+    }
+    segments.swap(children);
+  }
+}
 
-/// An action emitted for position `pos`, before grouping.
-struct Emitted {
-  int pos;
-  Action act;
-};
+/// Activity table of the halving recursion: fills rows 1..iterations of
+/// `active` ((iterations + 1) rows of n flags; row 0 holds the initial
+/// pattern).  In each iteration a pair in which either side holds data
+/// leaves both holding it, and an odd segment's unpaired position h - 1
+/// pushes its data to h.  When `order` is non-null, positions are appended
+/// to it as they first become active.
+void fill_activity(int n, int iterations, std::vector<char>& active,
+                   std::vector<int>* order) {
+  const auto width = static_cast<std::size_t>(n);
+  const char* cur = nullptr;
+  char* next = nullptr;
+  const auto activate = [&](int pos) {
+    char& flag = next[static_cast<std::size_t>(pos)];
+    if (flag != 0) return;
+    flag = 1;
+    if (order != nullptr) order->push_back(pos);
+  };
+  walk(
+      n, iterations,
+      [&](int iter) {
+        cur = active.data() + static_cast<std::size_t>(iter) * width;
+        next = active.data() + static_cast<std::size_t>(iter + 1) * width;
+        std::copy(cur, cur + width, next);
+      },
+      [&](int lo, int h, int len) {
+        for (int a = lo; a < lo + len - h; ++a) {
+          const int b = a + h;
+          if (cur[static_cast<std::size_t>(a)] != 0) activate(b);
+          if (cur[static_cast<std::size_t>(b)] != 0) activate(a);
+        }
+        if (len % 2 != 0 && cur[static_cast<std::size_t>(lo + h - 1)] != 0)
+          activate(lo + h);
+      });
+}
+
+int iterations_for(std::size_t n) {
+  return n > 1 ? ilog2_ceil(static_cast<std::int64_t>(n)) : 0;
+}
 
 }  // namespace
 
@@ -26,96 +84,77 @@ HalvingSchedule HalvingSchedule::compute(
     const std::vector<char>& initially_active) {
   SPB_REQUIRE(!initially_active.empty(), "schedule needs >= 1 position");
   HalvingSchedule s;
-  s.n_ = static_cast<int>(initially_active.size());
-  s.iterations_ = s.n_ > 1 ? ilog2_ceil(s.n_) : 0;
-  s.active_.push_back(initially_active);
-  const auto n = static_cast<std::size_t>(s.n_);
-  s.offsets_.reserve(static_cast<std::size_t>(s.iterations_) * n + 1);
+  const std::size_t n = initially_active.size();
+  s.n_ = static_cast<int>(n);
+  s.iterations_ = iterations_for(n);
+  const auto iters = static_cast<std::size_t>(s.iterations_);
+  s.active_.resize((iters + 1) * n);
+  std::copy(initially_active.begin(), initially_active.end(),
+            s.active_.begin());
+  fill_activity(s.n_, s.iterations_, s.active_, nullptr);
 
-  std::vector<Segment> segments{{0, s.n_}};
-  std::vector<char> active = initially_active;
-  std::vector<Emitted> emitted;
-  // Group starts of the counting sort below, keyed 2 * pos + is_recv.
-  std::vector<std::uint32_t> start(2 * n + 1);
-
-  for (int iter = 0; iter < s.iterations_; ++iter) {
-    std::vector<char> next = active;
-    emitted.clear();
-    const auto emit = [&](int pos, Action::Type type, int peer) {
-      emitted.push_back({pos, {type, peer}});
-    };
-
-    // Emits the actions for "a talks to b": exchange when both are active,
-    // a one-sided transfer when only one is.
-    const auto connect = [&](int a, int b) {
-      const bool a_has = active[static_cast<std::size_t>(a)] != 0;
-      const bool b_has = active[static_cast<std::size_t>(b)] != 0;
-      if (a_has) {
-        emit(a, Action::Type::kSend, b);
-        emit(b, Action::Type::kRecv, a);
-        if (!b_has) {
-          next[static_cast<std::size_t>(b)] = 1;
-          s.activation_order_.push_back(b);
+  // Each active side of a pair sends once and its partner receives once;
+  // the odd segment's push is one more send and receive.  Counting every
+  // (iteration, position)'s actions first sizes the action array exactly.
+  s.offsets_.assign(iters * n + 1, 0);
+  const char* cur = nullptr;
+  std::uint32_t* count = nullptr;
+  walk(
+      s.n_, s.iterations_,
+      [&](int iter) {
+        cur = s.active_.data() + static_cast<std::size_t>(iter) * n;
+        count = s.offsets_.data() + static_cast<std::size_t>(iter) * n + 1;
+      },
+      [&](int lo, int h, int len) {
+        for (int a = lo; a < lo + len - h; ++a) {
+          const int b = a + h;
+          const auto k =
+              static_cast<std::uint32_t>((cur[static_cast<std::size_t>(a)] != 0) +
+                                         (cur[static_cast<std::size_t>(b)] != 0));
+          count[a] += k;
+          count[b] += k;
         }
-      }
-      if (b_has) {
-        emit(b, Action::Type::kSend, a);
-        emit(a, Action::Type::kRecv, b);
-        if (!a_has) {
-          next[static_cast<std::size_t>(a)] = 1;
-          s.activation_order_.push_back(a);
+        if (len % 2 != 0 && cur[static_cast<std::size_t>(lo + h - 1)] != 0) {
+          ++count[lo + h - 1];
+          ++count[lo + h];
         }
-      }
-    };
+      });
+  for (std::size_t k = 1; k < s.offsets_.size(); ++k)
+    s.offsets_[k] += s.offsets_[k - 1];
+  s.acts_.resize(s.offsets_.back());
 
-    // One-way push a -> b (the odd-segment fix-up).
-    const auto push = [&](int a, int b) {
-      if (active[static_cast<std::size_t>(a)] == 0) return;
-      emit(a, Action::Type::kSend, b);
-      emit(b, Action::Type::kRecv, a);
-      if (next[static_cast<std::size_t>(b)] == 0) {
-        next[static_cast<std::size_t>(b)] = 1;
-        s.activation_order_.push_back(b);
-      }
-    };
-
-    std::vector<Segment> children;
-    for (const Segment& seg : segments) {
-      if (seg.n <= 1) {
-        children.push_back(seg);
-        continue;
-      }
-      const int h = static_cast<int>(ceil_div(seg.n, 2));
-      for (int i = 0; i < seg.n - h; ++i)
-        connect(seg.lo + i, seg.lo + h + i);
-      if (seg.n % 2 != 0) push(seg.lo + h - 1, seg.lo + h);
-      children.push_back({seg.lo, h});
-      children.push_back({seg.lo + h, seg.n - h});
-    }
-
-    // Group the iteration's actions by position, receives after sends, so
-    // the executor's two passes see them in a stable order (connect/push
-    // already emit sends before the matching receives per position, but a
-    // position can appear in several pairs): a stable counting sort on
-    // 2 * pos + is_recv keeps emission order within each group.
-    const auto key = [](const Emitted& e) {
-      return 2 * static_cast<std::size_t>(e.pos) +
-             (e.act.type == Action::Type::kRecv ? 1 : 0);
-    };
-    std::fill(start.begin(), start.end(), 0);
-    for (const Emitted& e : emitted) ++start[key(e) + 1];
-    const auto base = static_cast<std::uint32_t>(s.acts_.size());
-    for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
-    for (std::size_t pos = 0; pos < n; ++pos)
-      s.offsets_.push_back(base + start[2 * pos]);
-    s.acts_.resize(s.acts_.size() + emitted.size());
-    for (const Emitted& e : emitted) s.acts_[base + start[key(e)]++] = e.act;
-
-    segments = std::move(children);
-    active = next;
-    s.active_.push_back(active);
-  }
-  s.offsets_.push_back(static_cast<std::uint32_t>(s.acts_.size()));
+  // File the actions.  Each position's group lists its sends before its
+  // receives, in the order the recursion meets them: a pair's send and
+  // receive, then the push that lands on the upper half's first position
+  // (its pair already filed).  `fill` is the next free slot per position.
+  std::vector<std::uint32_t> fill(n);
+  const auto put = [&](int pos, Action::Type type, int peer) {
+    s.acts_[fill[static_cast<std::size_t>(pos)]++] = Action{type, peer};
+  };
+  walk(
+      s.n_, s.iterations_,
+      [&](int iter) {
+        const std::size_t row = static_cast<std::size_t>(iter) * n;
+        cur = s.active_.data() + row;
+        std::copy(s.offsets_.begin() + static_cast<std::ptrdiff_t>(row),
+                  s.offsets_.begin() + static_cast<std::ptrdiff_t>(row + n),
+                  fill.begin());
+      },
+      [&](int lo, int h, int len) {
+        for (int a = lo; a < lo + len - h; ++a) {
+          const int b = a + h;
+          const bool a_has = cur[static_cast<std::size_t>(a)] != 0;
+          const bool b_has = cur[static_cast<std::size_t>(b)] != 0;
+          if (a_has) put(a, Action::Type::kSend, b);
+          if (b_has) put(a, Action::Type::kRecv, b);
+          if (b_has) put(b, Action::Type::kSend, a);
+          if (a_has) put(b, Action::Type::kRecv, a);
+        }
+        if (len % 2 != 0 && cur[static_cast<std::size_t>(lo + h - 1)] != 0) {
+          put(lo + h - 1, Action::Type::kSend, lo + h);
+          put(lo + h, Action::Type::kRecv, lo + h - 1);
+        }
+      });
   return s;
 }
 
@@ -128,68 +167,44 @@ std::span<const Action> HalvingSchedule::actions(int iter, int pos) const {
   return {acts_.data() + offsets_[k], acts_.data() + offsets_[k + 1]};
 }
 
-const std::vector<char>& HalvingSchedule::active_after(int iter) const {
+std::span<const char> HalvingSchedule::active_after(int iter) const {
   SPB_REQUIRE(iter >= 0 && iter <= iterations_, "iteration out of range");
-  return active_[static_cast<std::size_t>(iter)];
+  const auto n = static_cast<std::size_t>(n_);
+  return {active_.data() + static_cast<std::size_t>(iter) * n, n};
 }
 
 int HalvingSchedule::active_count_after(int iter) const {
-  const auto& a = active_after(iter);
+  const std::span<const char> a = active_after(iter);
   return static_cast<int>(std::count(a.begin(), a.end(), char{1}));
 }
 
 std::vector<int> HalvingSchedule::activity_profile(
     const std::vector<char>& active) {
   SPB_REQUIRE(!active.empty(), "profile needs >= 1 position");
-  const int n = static_cast<int>(active.size());
-  const int iterations = n > 1 ? ilog2_ceil(n) : 0;
-  std::vector<char> cur = active;
+  const std::size_t n = active.size();
+  const int iterations = iterations_for(n);
+  std::vector<char> table((static_cast<std::size_t>(iterations) + 1) * n);
+  std::copy(active.begin(), active.end(), table.begin());
+  fill_activity(static_cast<int>(n), iterations, table, nullptr);
   std::vector<int> profile;
   profile.reserve(static_cast<std::size_t>(iterations) + 1);
-  profile.push_back(
-      static_cast<int>(std::count(cur.begin(), cur.end(), char{1})));
-
-  std::vector<Segment> segments{{0, n}};
-  for (int iter = 0; iter < iterations; ++iter) {
-    std::vector<char> next = cur;
-    std::vector<Segment> children;
-    children.reserve(segments.size() * 2);
-    for (const Segment& seg : segments) {
-      if (seg.n <= 1) {
-        children.push_back(seg);
-        continue;
-      }
-      const int h = static_cast<int>(ceil_div(seg.n, 2));
-      for (int i = 0; i < seg.n - h; ++i) {
-        const auto a = static_cast<std::size_t>(seg.lo + i);
-        const auto b = static_cast<std::size_t>(seg.lo + h + i);
-        if (cur[a] || cur[b]) next[a] = next[b] = 1;
-      }
-      if (seg.n % 2 != 0 &&
-          cur[static_cast<std::size_t>(seg.lo + h - 1)]) {
-        next[static_cast<std::size_t>(seg.lo + h)] = 1;
-      }
-      children.push_back({seg.lo, h});
-      children.push_back({seg.lo + h, seg.n - h});
-    }
-    segments = std::move(children);
-    cur = std::move(next);
-    profile.push_back(
-        static_cast<int>(std::count(cur.begin(), cur.end(), char{1})));
-  }
+  for (auto row = table.begin(); row != table.end();
+       row += static_cast<std::ptrdiff_t>(n))
+    profile.push_back(static_cast<int>(
+        std::count(row, row + static_cast<std::ptrdiff_t>(n), char{1})));
   return profile;
 }
 
 std::vector<int> HalvingSchedule::spread_order(int n) {
   SPB_REQUIRE(n >= 1, "spread_order needs n >= 1");
-  std::vector<char> active(static_cast<std::size_t>(n), 0);
-  active[0] = 1;
-  const HalvingSchedule s = compute(active);
+  const auto width = static_cast<std::size_t>(n);
+  const int iterations = iterations_for(width);
+  std::vector<char> table((static_cast<std::size_t>(iterations) + 1) * width);
+  table[0] = 1;
   std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
+  order.reserve(width);
   order.push_back(0);
-  order.insert(order.end(), s.activation_order_.begin(),
-               s.activation_order_.end());
+  fill_activity(n, iterations, table, &order);
   SPB_CHECK_MSG(static_cast<int>(order.size()) == n,
                 "spread from position 0 reached " << order.size() << " of "
                                                   << n << " positions");

@@ -49,7 +49,7 @@ class HalvingSchedule {
 
   /// Activity flags after `iter` iterations (iter == 0 gives the initial
   /// flags) — used by tests and by the metric analysis.
-  const std::vector<char>& active_after(int iter) const;
+  std::span<const char> active_after(int iter) const;
 
   /// Number of active positions after `iter` iterations.
   int active_count_after(int iter) const;
@@ -73,16 +73,14 @@ class HalvingSchedule {
   /// Every action, grouped by (iteration, position) in that order; the
   /// actions of (iter, pos) are acts_[offsets_[k]] .. acts_[offsets_[k + 1]]
   /// (exclusive) with k = iter * n + pos — at most one exchange plus one
-  /// extra send/recv each.  One array, so a schedule costs a handful of
-  /// allocations however large it is.
+  /// extra send/recv each.  Flat arrays sized exactly before they are
+  /// filled, so a schedule costs the same few allocations however large
+  /// it is.
   std::vector<Action> acts_;
   std::vector<std::uint32_t> offsets_;
-  /// active_[iter][pos]; active_[0] is the initial pattern.
-  std::vector<std::vector<char>> active_;
-  /// Positions in first-activation order (excluding initially active).
-  std::vector<int> activation_order_;
-
-  friend std::vector<int> spread_order_impl(int n);
+  /// Activity flags, (iterations + 1) rows of n: row `iter` holds the
+  /// flags after `iter` iterations, row 0 the initial pattern.
+  std::vector<char> active_;
 };
 
 }  // namespace spb::coll

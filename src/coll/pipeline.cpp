@@ -10,39 +10,47 @@ namespace spb::coll {
 BcastTree BcastTree::from_halving(int n, int root_pos) {
   SPB_REQUIRE(n >= 1, "tree needs at least one position");
   SPB_REQUIRE(root_pos >= 0 && root_pos < n, "root out of range");
-  std::vector<char> active(static_cast<std::size_t>(n), 0);
-  active[static_cast<std::size_t>(root_pos)] = 1;
-  const HalvingSchedule sched = HalvingSchedule::compute(active);
-
+  // With a single source, every segment of the halving recursion holds
+  // exactly one active position a: it pairs with a + h or a - h, or, as an
+  // odd segment's unpaired h - 1, pushes to h.  That sends to the other
+  // half, which thereby holds exactly one active position too.  So no
+  // schedule is needed: following the segments that contain `pos` from
+  // the top gives its parent (the active position that sends to it) and
+  // then, one per level, its children in send order.
   BcastTree t;
   t.root = root_pos;
   t.parent.assign(static_cast<std::size_t>(n), -1);
-  // Two passes over the schedule: count each position's sends, then file
-  // them, iteration by iteration, into the position's group.
-  t.first_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int iter = 0; iter < sched.iterations(); ++iter)
-    for (int pos = 0; pos < n; ++pos)
-      for (const Action& a : sched.actions(iter, pos))
-        if (a.type == Action::Type::kSend)
-          ++t.first_[static_cast<std::size_t>(pos) + 1];
-  for (std::size_t pos = 1; pos <= static_cast<std::size_t>(n); ++pos)
-    t.first_[pos] += t.first_[pos - 1];
-  t.kids_.resize(t.first_.back());
-  std::vector<std::size_t> fill(t.first_.begin(), t.first_.end() - 1);
-  for (int iter = 0; iter < sched.iterations(); ++iter) {
-    for (int pos = 0; pos < n; ++pos) {
-      for (const Action& a : sched.actions(iter, pos)) {
-        if (a.type == Action::Type::kSend) {
-          t.kids_[fill[static_cast<std::size_t>(pos)]++] = a.peer;
-        } else {
-          SPB_CHECK_MSG(t.parent[static_cast<std::size_t>(pos)] == -1,
-                        "position " << pos << " received twice in a single-"
-                                       "source halving schedule");
-          t.parent[static_cast<std::size_t>(pos)] = a.peer;
-        }
+  t.first_.reserve(static_cast<std::size_t>(n) + 1);
+  t.kids_.reserve(static_cast<std::size_t>(n) - 1);
+  for (int pos = 0; pos < n; ++pos) {
+    t.first_.push_back(t.kids_.size());
+    int lo = 0;
+    int len = n;
+    int active = root_pos;
+    while (len > 1) {
+      const int h = static_cast<int>(ceil_div(len, 2));
+      const int i = active - lo;
+      const int target = i < len - h ? active + h
+                         : i >= h    ? active - h
+                                     : lo + h;  // odd segment's push
+      if (pos == active) {
+        t.kids_.push_back(target);
+      } else if (pos == target) {
+        t.parent[static_cast<std::size_t>(pos)] = active;
+      }
+      // Descend into the half holding pos; its active position is
+      // whichever of active and target lies in it.
+      const bool lower = pos < lo + h;
+      if (lower != (active < lo + h)) active = target;
+      if (lower) {
+        len = h;
+      } else {
+        lo += h;
+        len -= h;
       }
     }
   }
+  t.first_.push_back(t.kids_.size());
   return t;
 }
 

@@ -6,81 +6,60 @@
 
 namespace spb::mp {
 
-IterationCounters& RankMetrics::current() {
+void RankMetrics::on_send(Bytes message_bytes, PhaseCounters* phase) {
   SPB_CHECK(!finalized_);
-  if (iters_.empty()) iters_.emplace_back();
-  return iters_.back();
-}
-
-PhaseCounters& RankMetrics::phase_at(int phase) {
-  SPB_CHECK(phase >= 0);
-  if (phases_.size() <= static_cast<std::size_t>(phase))
-    phases_.resize(static_cast<std::size_t>(phase) + 1);
-  return phases_[static_cast<std::size_t>(phase)];
-}
-
-void RankMetrics::on_send(Bytes message_bytes, int phase) {
   ++sends_;
   bytes_sent_ += message_bytes;
-  auto& it = current();
-  ++it.sends;
-  it.bytes += message_bytes;
-  if (phase >= 0) {
-    auto& ph = phase_at(phase);
-    ++ph.sends;
-    ph.bytes_sent += message_bytes;
+  ++open_ops_;
+  if (phase != nullptr) {
+    ++phase->sends;
+    phase->bytes_sent += message_bytes;
   }
 }
 
 void RankMetrics::on_recv(Bytes message_bytes, bool blocked, SimTime wait_us,
-                          int phase) {
+                          PhaseCounters* phase) {
+  SPB_CHECK(!finalized_);
   ++recvs_;
   bytes_received_ += message_bytes;
   if (blocked) {
     ++waits_;
     wait_us_ += wait_us;
   }
-  auto& it = current();
-  ++it.recvs;
-  it.bytes += message_bytes;
-  if (phase >= 0) {
-    auto& ph = phase_at(phase);
-    ++ph.recvs;
-    ph.bytes_received += message_bytes;
+  ++open_ops_;
+  if (phase != nullptr) {
+    ++phase->recvs;
+    phase->bytes_received += message_bytes;
     if (blocked) {
-      ++ph.waits;
-      ph.wait_us += wait_us;
+      ++phase->waits;
+      phase->wait_us += wait_us;
     }
   }
 }
 
-void RankMetrics::on_compute(SimTime us, int phase) {
+void RankMetrics::on_compute(SimTime us, PhaseCounters* phase) {
   compute_us_ += us;
-  if (phase >= 0) phase_at(phase).compute_us += us;
-}
-
-void RankMetrics::phase_begin(int phase) { ++phase_at(phase).entries; }
-
-void RankMetrics::phase_span(int phase, SimTime span_us) {
-  phase_at(phase).span_us += span_us;
+  if (phase != nullptr) phase->compute_us += us;
 }
 
 void RankMetrics::mark_iteration() {
-  current();  // materialize the iteration even if it stayed silent
-  iters_.emplace_back();
-}
-
-void RankMetrics::finalize() {
-  if (finalized_) return;
-  // Drop a trailing empty iteration created by the last mark_iteration().
-  if (!iters_.empty() && !iters_.back().active()) iters_.pop_back();
-  finalized_ = true;
+  SPB_CHECK(!finalized_);
+  ++closed_iters_;
+  if (open_ops_ > 0) ++active_closed_iters_;
+  max_closed_ops_ = std::max(max_closed_ops_, open_ops_);
+  open_ops_ = 0;
 }
 
 std::uint32_t RankMetrics::congestion() const {
-  std::uint32_t worst = 0;
-  for (const auto& it : iters_) worst = std::max(worst, it.sends + it.recvs);
-  return worst;
+  return std::max(max_closed_ops_, open_ops_);
+}
+
+std::uint64_t RankMetrics::iteration_count() const {
+  return closed_iters_ + (open_ops_ > 0 ? 1 : 0);
+}
+
+std::uint64_t RankMetrics::active_iterations() const {
+  return active_closed_iters_ + (open_ops_ > 0 ? 1 : 0);
 }
 
 double RankMetrics::avg_message_bytes() const {
@@ -91,15 +70,15 @@ double RankMetrics::avg_message_bytes() const {
 }
 
 std::vector<PhaseTotals> PhaseTotals::aggregate(
-    std::span<const RankMetrics* const> ranks,
+    std::span<const PhaseCounters> cells, std::size_t ranks,
     const std::vector<std::string>& names) {
+  SPB_CHECK(cells.size() == names.size() * ranks);
   std::vector<PhaseTotals> out(names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) out[i].name = names[i];
-  for (const RankMetrics* r : ranks) {
-    const auto& phases = r->phases();
-    for (std::size_t i = 0; i < phases.size() && i < out.size(); ++i) {
-      const PhaseCounters& c = phases[i];
-      PhaseTotals& t = out[i];
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    PhaseTotals& t = out[i];
+    t.name = names[i];
+    // Rank order, so the floating-point sums do not depend on the layout.
+    for (const PhaseCounters& c : cells.subspan(i * ranks, ranks)) {
       t.entries += c.entries;
       t.sends += c.sends;
       t.recvs += c.recvs;
@@ -117,7 +96,8 @@ std::vector<PhaseTotals> PhaseTotals::aggregate(
 
 RunMetrics RunMetrics::aggregate(std::span<const RankMetrics* const> ranks) {
   RunMetrics m;
-  std::size_t max_iters = 0;
+  std::uint64_t max_iters = 0;
+  std::uint64_t active_sum = 0;
   for (const RankMetrics* r : ranks) {
     m.total_sends += r->sends();
     m.total_recvs += r->recvs();
@@ -129,14 +109,11 @@ RunMetrics RunMetrics::aggregate(std::span<const RankMetrics* const> ranks) {
     m.transit_drops += r->transit_drops();
     m.retransmits += r->retransmits();
     m.duplicates += r->duplicates();
-    max_iters = std::max(max_iters, r->iterations().size());
+    max_iters = std::max(max_iters, r->iteration_count());
+    active_sum += r->active_iterations();
   }
-  m.iterations = max_iters;
+  m.iterations = static_cast<std::size_t>(max_iters);
   if (max_iters > 0) {
-    std::uint64_t active_sum = 0;
-    for (const RankMetrics* r : ranks)
-      for (const auto& it : r->iterations())
-        if (it.active()) ++active_sum;
     m.av_act_proc =
         static_cast<double>(active_sum) / static_cast<double>(max_iters);
   }

@@ -22,15 +22,6 @@
 
 namespace spb::mp {
 
-/// Counters for one iteration of one rank.
-struct IterationCounters {
-  std::uint32_t sends = 0;
-  std::uint32_t recvs = 0;
-  Bytes bytes = 0;  // sum of message sizes sent + received
-
-  bool active() const { return sends + recvs > 0; }
-};
-
 /// Counters for one annotated algorithm phase of one rank (see
 /// Comm::begin_phase).  Operations are attributed to the innermost open
 /// phase only, so per-phase numbers sum to the rank totals plus whatever
@@ -50,16 +41,14 @@ struct PhaseCounters {
 /// Counters for one rank over a whole run.
 class RankMetrics {
  public:
-  void on_send(Bytes message_bytes, int phase = -1);
+  // `phase` is the innermost open phase's counters (null outside any
+  // phase); the runtime keeps them, see Runtime::phase_counters.
+  void on_send(Bytes message_bytes, PhaseCounters* phase = nullptr);
   void on_recv(Bytes message_bytes, bool blocked, SimTime wait_us,
-               int phase = -1);
-  void on_compute(SimTime us, int phase = -1);
+               PhaseCounters* phase = nullptr);
+  void on_compute(SimTime us, PhaseCounters* phase = nullptr);
+  /// Closes the open iteration, even a silent one.
   void mark_iteration();
-
-  // Phase bookkeeping (driven by Comm::begin_phase/end_phase; phase ids are
-  // interned runtime-wide, see Runtime::phase_id).
-  void phase_begin(int phase);
-  void phase_span(int phase, SimTime span_us);
 
   // Fault-injection bookkeeping (sender side for drops/retransmits,
   // receiver side for suppressed duplicates); all stay zero without faults.
@@ -89,20 +78,18 @@ class RankMetrics {
   /// Mean message length over all messages this rank touched (bytes).
   double avg_message_bytes() const;
 
-  /// Completed iterations, plus the trailing partial one if non-empty.
-  const std::vector<IterationCounters>& iterations() const { return iters_; }
+  /// Iterations: every closed one (silent ones included), plus the open
+  /// one once it is non-empty — a mark after the last operation opens
+  /// none.
+  std::uint64_t iteration_count() const;
+  /// Iterations in which this rank sent or received at least once.
+  std::uint64_t active_iterations() const;
 
-  /// Per-phase counters, indexed by interned phase id (may be shorter than
-  /// the runtime's phase table if this rank never entered later phases).
-  const std::vector<PhaseCounters>& phases() const { return phases_; }
-
-  /// Closes the trailing iteration; called by the runtime at the end.
-  void finalize();
+  /// Ends the run; called by the runtime.  Later operations or marks are
+  /// a bug.
+  void finalize() { finalized_ = true; }
 
  private:
-  IterationCounters& current();
-  PhaseCounters& phase_at(int phase);
-
   std::uint64_t sends_ = 0;
   std::uint64_t recvs_ = 0;
   Bytes bytes_sent_ = 0;
@@ -113,8 +100,13 @@ class RankMetrics {
   std::uint64_t duplicates_ = 0;
   SimTime wait_us_ = 0;
   SimTime compute_us_ = 0;
-  std::vector<IterationCounters> iters_;
-  std::vector<PhaseCounters> phases_;
+  // Figure 2 needs no per-iteration rows, only running values: the open
+  // iteration's sends + recvs, and over the closed iterations their count,
+  // how many were active and the largest sends + recvs of any.
+  std::uint32_t open_ops_ = 0;
+  std::uint32_t max_closed_ops_ = 0;
+  std::uint64_t closed_iters_ = 0;
+  std::uint64_t active_closed_iters_ = 0;
   bool finalized_ = false;
 };
 
@@ -136,9 +128,11 @@ struct PhaseTotals {
   /// Max over ranks of per-rank phase span (critical-path view).
   SimTime max_span_us = 0;
 
-  /// Sums the ranks' phase tables in place (no RankMetrics copies).
+  /// Sums a run's phase table in place: `cells` holds every rank's
+  /// counters phase-major (cells[phase * ranks + rank]), one phase per
+  /// name.
   static std::vector<PhaseTotals> aggregate(
-      std::span<const RankMetrics* const> ranks,
+      std::span<const PhaseCounters> cells, std::size_t ranks,
       const std::vector<std::string>& names);
 };
 

@@ -67,35 +67,13 @@ Comm::MergeAwaiter Comm::merge(Payload& into, Payload add, bool dedup) {
 void Comm::mark_iteration() { metrics_.mark_iteration(); }
 
 void Comm::begin_phase(std::string_view name) {
-  const int id = rt_->phase_id(name);
-  metrics_.phase_begin(id);
-  phase_stack_.push_back(OpenPhase{id, rt_->sim_.now()});
-  if (rt_->trace_enabled_) {
-    TraceEvent e;
-    e.kind = TraceEvent::Kind::kPhaseBegin;
-    e.rank = rank_;
-    e.begin_us = e.end_us = rt_->sim_.now();
-    e.phase = id;
-    rt_->trace_.record(e);
-  }
+  rt_->open_phase(*this, rt_->phase_id(name));
 }
 
 void Comm::end_phase() {
-  SPB_REQUIRE(!phase_stack_.empty(),
+  SPB_REQUIRE(phase_slot_ >= 0,
               "rank " << rank_ << ": end_phase() without begin_phase()");
-  const OpenPhase open = phase_stack_.back();
-  phase_stack_.pop_back();
-  const SimTime now = rt_->sim_.now();
-  metrics_.phase_span(open.id, now - open.began);
-  if (rt_->trace_enabled_) {
-    TraceEvent e;
-    e.kind = TraceEvent::Kind::kPhaseEnd;
-    e.rank = rank_;
-    e.begin_us = open.began;  // the exporter emits one complete event
-    e.end_us = now;
-    e.phase = open.id;
-    rt_->trace_.record(e);
-  }
+  rt_->close_phase(*this, rt_->sim_.now());
 }
 
 void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
@@ -110,7 +88,7 @@ void Comm::SendAwaiter::await_suspend(std::coroutine_handle<> h) {
           ? rt.schedule_.record_send(c.rank_, dst, tag, wire, payload)
           : -1;
 
-  c.metrics_.on_send(wire, c.current_phase());
+  c.metrics_.on_send(wire, rt.phase_counters(c));
 
   // Message faults need a per-(src, dst) sequence number for duplicate
   // suppression, counted per destination this sender actually uses.
@@ -201,7 +179,7 @@ Message Comm::RecvAwaiter::await_resume() {
   }
   c.metrics_.on_recv(m.wire_bytes, blocked,
                      blocked ? m.arrived_at - called_at : 0.0,
-                     c.current_phase());
+                     rt.phase_counters(c));
   if (rt.trace_enabled_) {
     TraceEvent e;
     e.kind = TraceEvent::Kind::kRecv;
@@ -222,7 +200,7 @@ void Comm::ComputeAwaiter::await_suspend(std::coroutine_handle<> h) {
   Runtime& rt = *comm->rt_;
   const double actual = us * rt.slowdown(comm->rank_);
   const SimTime now = rt.sim_.now();
-  comm->metrics_.on_compute(actual, comm->current_phase());
+  comm->metrics_.on_compute(actual, rt.phase_counters(*comm));
   if (rt.trace_enabled_) {
     TraceEvent e;
     e.kind = TraceEvent::Kind::kCompute;
@@ -256,19 +234,22 @@ Runtime::Runtime(std::shared_ptr<const net::Topology> topo,
     SPB_REQUIRE(mapping_.node_of(r) < net_.topology().node_count(),
                 "rank " << r << " mapped outside the topology");
   }
-  comms_.reserve(static_cast<std::size_t>(p));
   // Comm's constructor is private (only the runtime mints endpoints), so
   // make_unique cannot reach it; the raw new goes straight into the
   // unique_ptr.
-  for (Rank r = 0; r < p; ++r)
-    comms_.push_back(std::unique_ptr<Comm>(new Comm(*this, r)));
+  comms_.reset(new Comm[static_cast<std::size_t>(p)]);
+  for (Rank r = 0; r < p; ++r) {
+    Comm& c = comms_[static_cast<std::size_t>(r)];
+    c.rt_ = this;
+    c.rank_ = r;
+  }
   tasks_.resize(static_cast<std::size_t>(p));
   done_at_.assign(static_cast<std::size_t>(p), -1.0);
 }
 
 Comm& Runtime::comm(Rank r) {
   SPB_REQUIRE(r >= 0 && r < size(), "rank " << r << " out of range");
-  return *comms_[static_cast<std::size_t>(r)];
+  return comms_[static_cast<std::size_t>(r)];
 }
 
 void Runtime::spawn(Rank r, sim::Task task) {
@@ -321,7 +302,54 @@ int Runtime::phase_id(std::string_view name) {
   for (std::size_t i = 0; i < phase_names_.size(); ++i)
     if (phase_names_[i] == name) return static_cast<int>(i);
   phase_names_.emplace_back(name);
+  phase_cells_.resize(phase_cells_.size() + static_cast<std::size_t>(size()));
   return static_cast<int>(phase_names_.size() - 1);
+}
+
+void Runtime::open_phase(Comm& c, int id) {
+  const SimTime now = sim_.now();
+  ++phase_cell(id, c.rank_).entries;
+  const OpenPhase open{id, c.phase_slot_, now};
+  std::int32_t slot = free_open_phase_;
+  if (slot >= 0) {
+    free_open_phase_ = open_phases_[static_cast<std::size_t>(slot)].outer;
+    open_phases_[static_cast<std::size_t>(slot)] = open;
+  } else {
+    slot = static_cast<std::int32_t>(open_phases_.size());
+    open_phases_.push_back(open);
+  }
+  c.phase_slot_ = slot;
+  c.phase_ = id;
+  if (trace_enabled_) {
+    TraceEvent e;
+    e.kind = TraceEvent::Kind::kPhaseBegin;
+    e.rank = c.rank_;
+    e.begin_us = e.end_us = now;
+    e.phase = id;
+    trace_.record(e);
+  }
+}
+
+void Runtime::close_phase(Comm& c, SimTime end) {
+  const std::int32_t slot = c.phase_slot_;
+  OpenPhase& entry = open_phases_[static_cast<std::size_t>(slot)];
+  const OpenPhase open = entry;
+  entry.outer = free_open_phase_;
+  free_open_phase_ = slot;
+  c.phase_slot_ = open.outer;
+  c.phase_ = open.outer < 0
+                 ? -1
+                 : open_phases_[static_cast<std::size_t>(open.outer)].id;
+  phase_cell(open.id, c.rank_).span_us += end - open.began;
+  if (trace_enabled_) {
+    TraceEvent e;
+    e.kind = TraceEvent::Kind::kPhaseEnd;
+    e.rank = c.rank_;
+    e.begin_us = open.began;  // the exporter emits one complete event
+    e.end_us = end;
+    e.phase = open.id;
+    trace_.record(e);
+  }
 }
 
 void Runtime::sched_retransmit(SimTime t, std::uint32_t slot, int attempt) {
@@ -477,7 +505,7 @@ RunOutcome Runtime::run() {
     ++stuck_count;
     if (stuck_count <= 8) {
       stuck << "\n  rank " << r;
-      const auto& pending = comms_[static_cast<std::size_t>(r)]->pending_;
+      const auto& pending = comms_[static_cast<std::size_t>(r)].pending_;
       if (pending.has_value()) {
         stuck << " blocked in recv(";
         if (pending->src == kAnySource) {
@@ -488,7 +516,7 @@ RunOutcome Runtime::run() {
         if (pending->tag != kAnyTag) stuck << ", tag=" << pending->tag;
         stuck << ")";
         const std::size_t parked =
-            comms_[static_cast<std::size_t>(r)]->mailbox_.size();
+            comms_[static_cast<std::size_t>(r)].mailbox_.size();
         if (parked > 0)
           stuck << " while " << parked
                 << " non-matching message(s) sit in its mailbox";
@@ -512,31 +540,19 @@ RunOutcome Runtime::run() {
     // Close phases a program left open, crediting them up to its own
     // completion time, so the phase table is total even for algorithms
     // that end mid-phase.
-    Comm& c = *comms_[static_cast<std::size_t>(r)];
-    while (!c.phase_stack_.empty()) {
-      const Comm::OpenPhase open = c.phase_stack_.back();
-      c.phase_stack_.pop_back();
-      const SimTime end = done_at_[static_cast<std::size_t>(r)];
-      c.metrics_.phase_span(open.id, end - open.began);
-      if (trace_enabled_) {
-        TraceEvent e;
-        e.kind = TraceEvent::Kind::kPhaseEnd;
-        e.rank = r;
-        e.begin_us = open.began;
-        e.end_us = end;
-        e.phase = open.id;
-        trace_.record(e);
-      }
-    }
+    Comm& c = comms_[static_cast<std::size_t>(r)];
+    while (c.phase_slot_ >= 0)
+      close_phase(c, done_at_[static_cast<std::size_t>(r)]);
     c.metrics_.finalize();
   }
 
   std::vector<const RankMetrics*> per_rank;
   per_rank.reserve(static_cast<std::size_t>(p));
   for (Rank r = 0; r < p; ++r)
-    per_rank.push_back(&comms_[static_cast<std::size_t>(r)]->metrics_);
+    per_rank.push_back(&comms_[static_cast<std::size_t>(r)].metrics_);
   out.metrics = RunMetrics::aggregate(per_rank);
-  out.phases = PhaseTotals::aggregate(per_rank, phase_names_);
+  out.phases = PhaseTotals::aggregate(
+      phase_cells_, static_cast<std::size_t>(p), phase_names_);
   if (trace_enabled_) trace_.set_phase_names(phase_names_);
   out.network = net_.stats();
   const int links = net_.topology().link_space();

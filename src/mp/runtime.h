@@ -23,6 +23,7 @@
 //    DeadlockError naming every rank and the source it is stuck waiting on.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -218,26 +219,25 @@ class Comm {
   void begin_phase(std::string_view name);
   void end_phase();
   /// Interned id of the innermost open phase (-1 = outside any phase).
-  int current_phase() const {
-    return phase_stack_.empty() ? -1 : phase_stack_.back().id;
-  }
+  int current_phase() const { return phase_; }
 
   const RankMetrics& metrics() const { return metrics_; }
 
  private:
   friend class Runtime;
-  Comm(Runtime& rt, Rank rank) : rt_(&rt), rank_(rank) {}
+  /// Only the runtime mints endpoints: it allocates all of them as one
+  /// array and then binds each to itself and its rank.
+  Comm() = default;
 
-  Runtime* rt_;
-  Rank rank_;
+  Runtime* rt_ = nullptr;
+  Rank rank_ = 0;
   Mailbox mailbox_;
   RankMetrics metrics_;
 
-  struct OpenPhase {
-    int id;
-    SimTime began;
-  };
-  std::vector<OpenPhase> phase_stack_;
+  /// Innermost open phase: its interned id, and its entry in the
+  /// runtime's open-phase pool (-1 for both outside any phase).
+  int phase_ = -1;
+  std::int32_t phase_slot_ = -1;
 
   /// The single receive this rank's coroutine may be parked on.
   struct PendingRecv {
@@ -354,14 +354,33 @@ class Runtime {
   Message take_inflight(std::uint32_t slot);
   void free_inflight(std::uint32_t slot) { inflight_free_.push_back(slot); }
 
-  /// Interns a phase name runtime-wide, so ids agree across ranks.
+  /// Interns a phase name runtime-wide, so ids agree across ranks, and
+  /// gives a new phase its row of per-rank counters.
   int phase_id(std::string_view name);
+
+  /// Rank r's counters for phase `id`.
+  PhaseCounters& phase_cell(int id, Rank r) {
+    return phase_cells_[static_cast<std::size_t>(id) *
+                            static_cast<std::size_t>(size()) +
+                        static_cast<std::size_t>(r)];
+  }
+  /// Counters of c's innermost open phase (null outside any phase).
+  PhaseCounters* phase_counters(const Comm& c) {
+    return c.phase_ < 0 ? nullptr : &phase_cell(c.phase_, c.rank_);
+  }
+  /// Opens phase `id` on c at the current time, nested in c's innermost
+  /// open phase.
+  void open_phase(Comm& c, int id);
+  /// Closes c's innermost open phase, crediting its span up to `end`.
+  void close_phase(Comm& c, SimTime end);
 
   sim::Simulator sim_;
   net::NetworkModel net_;
   CommParams params_;
   net::RankMapping mapping_;
-  std::vector<std::unique_ptr<Comm>> comms_;
+  /// One allocation for every endpoint; it never moves, so the programs'
+  /// Comm references stay valid.
+  std::unique_ptr<Comm[]> comms_;
   std::vector<sim::Task> tasks_;
   std::vector<SimTime> done_at_;
   std::vector<Message> inflight_;
@@ -372,6 +391,20 @@ class Runtime {
   bool trace_enabled_ = false;
   Trace trace_;
   std::vector<std::string> phase_names_;
+  /// Every rank's phase counters, phase-major: one row of size() cells per
+  /// interned name, appended when the name is first seen.
+  std::vector<PhaseCounters> phase_cells_;
+  /// Every rank's stack of open phases, threaded through one pool: an
+  /// entry links to the entry it nests in (`outer`), and a closed entry
+  /// joins the free list headed by free_open_phase_.  The pool holds as
+  /// many entries as were ever open at once, across all ranks.
+  struct OpenPhase {
+    int id;
+    std::int32_t outer;
+    SimTime began;
+  };
+  std::vector<OpenPhase> open_phases_;
+  std::int32_t free_open_phase_ = -1;
   bool schedule_enabled_ = false;
   Schedule schedule_;
 };

@@ -1,7 +1,7 @@
 #include "net/mapping.h"
 
+#include <algorithm>
 #include <numeric>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -10,11 +10,16 @@
 namespace spb::net {
 
 RankMapping::RankMapping(std::vector<NodeId> table) : table_(std::move(table)) {
-  std::unordered_set<NodeId> seen;
+  // One flag per node id up to the largest: node ids are dense (a
+  // topology's node count bounds them), so this beats hashing p ids.
+  const NodeId top = *std::max_element(table_.begin(), table_.end());
+  std::vector<char> seen(top < 0 ? 0 : static_cast<std::size_t>(top) + 1, 0);
   for (const NodeId n : table_) {
     SPB_REQUIRE(n >= 0, "mapping contains a negative node id");
-    SPB_REQUIRE(seen.insert(n).second,
+    char& used = seen[static_cast<std::size_t>(n)];
+    SPB_REQUIRE(used == 0,
                 "mapping is not injective: node " << n << " used twice");
+    used = 1;
   }
 }
 

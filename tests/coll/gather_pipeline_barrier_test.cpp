@@ -103,6 +103,54 @@ TEST(BcastTree, FromHalvingStructure) {
   for (int pos = 1; pos < 8; ++pos) EXPECT_GE(t.parent[pos], 0);
 }
 
+/// The reference for from_halving: the tree read off a computed
+/// single-source HalvingSchedule.  A position's sends are its children,
+/// iteration by iteration, and its one receive names its parent.
+struct ScheduleTree {
+  std::vector<int> parent;
+  std::vector<std::vector<int>> children;
+};
+
+ScheduleTree tree_from_schedule(int n, int root_pos) {
+  std::vector<char> active(static_cast<std::size_t>(n), 0);
+  active[static_cast<std::size_t>(root_pos)] = 1;
+  const HalvingSchedule sched = HalvingSchedule::compute(active);
+  ScheduleTree t;
+  t.parent.assign(static_cast<std::size_t>(n), -1);
+  t.children.resize(static_cast<std::size_t>(n));
+  for (int iter = 0; iter < sched.iterations(); ++iter) {
+    for (int pos = 0; pos < n; ++pos) {
+      for (const Action& a : sched.actions(iter, pos)) {
+        if (a.type == Action::Type::kSend) {
+          t.children[static_cast<std::size_t>(pos)].push_back(a.peer);
+        } else {
+          EXPECT_EQ(t.parent[static_cast<std::size_t>(pos)], -1)
+              << "position " << pos << " received twice";
+          t.parent[static_cast<std::size_t>(pos)] = a.peer;
+        }
+      }
+    }
+  }
+  return t;
+}
+
+TEST(BcastTree, FromHalvingMatchesScheduleTree) {
+  for (int n = 1; n <= 600; ++n) {
+    for (int root = 0; root < n; ++root) {
+      const BcastTree t = BcastTree::from_halving(n, root);
+      const ScheduleTree want = tree_from_schedule(n, root);
+      ASSERT_EQ(t.root, root);
+      ASSERT_EQ(t.parent, want.parent) << "n=" << n << " root=" << root;
+      for (int pos = 0; pos < n; ++pos) {
+        const std::span<const int> kids = t.children(pos);
+        ASSERT_EQ(std::vector<int>(kids.begin(), kids.end()),
+                  want.children[static_cast<std::size_t>(pos)])
+            << "n=" << n << " root=" << root << " pos=" << pos;
+      }
+    }
+  }
+}
+
 TEST(BcastTree, BinaryHasBoundedFanout) {
   for (const int n : {1, 2, 5, 16, 100}) {
     const BcastTree t = BcastTree::binary(n, 0);

@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "../mp/alloc_count.h"
 #include "common/check.h"
 #include "common/math.h"
 #include "common/rng.h"
@@ -279,6 +280,25 @@ TEST(Halving, EmptyActivityYieldsSilentSchedule) {
   for (int iter = 0; iter < s.iterations(); ++iter)
     for (int pos = 0; pos < 16; ++pos)
       EXPECT_TRUE(s.actions(iter, pos).empty());
+}
+
+TEST(HalvingSchedule, ComputeAllocationsDoNotGrowWithIterations) {
+  // The activity table, the offsets and the actions are flat arrays sized
+  // before they are filled, and the recursion's scratch lists are reserved
+  // once: 6 iterations over 64 positions allocate as often as 12 over
+  // 4096.
+  const auto allocs = [](int n) {
+    std::vector<char> all(static_cast<std::size_t>(n), 1);
+    std::vector<char> one(static_cast<std::size_t>(n), 0);
+    one[static_cast<std::size_t>(n / 3)] = 1;
+    const std::size_t before = test::allocations_here();
+    const HalvingSchedule a = HalvingSchedule::compute(all);
+    const HalvingSchedule b = HalvingSchedule::compute(one);
+    EXPECT_EQ(a.active_count_after(a.iterations()), n);
+    EXPECT_EQ(b.active_count_after(b.iterations()), n);
+    return test::allocations_here() - before;
+  };
+  EXPECT_EQ(allocs(64), allocs(4096));
 }
 
 TEST(Halving, RejectsEmptyInput) {

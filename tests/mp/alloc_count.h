@@ -1,7 +1,7 @@
-// Heap-allocation counting for test_mp and test_serve: alloc_count.cpp
-// replaces the global operator new of the whole binary, so a test can
-// prove that an operation allocates nothing (or a fixed amount), or bound
-// its bytes.
+// Heap-allocation counting for test_mp, test_coll and test_serve:
+// alloc_count.cpp replaces the global operator new of the whole binary, so
+// a test can prove that an operation allocates nothing (or a fixed
+// amount), or bound its bytes.
 #pragma once
 
 #include <cstddef>

@@ -297,7 +297,7 @@ TEST(Runtime, SpawnValidation) {
 TEST(Runtime, SelfSendRejected) {
   Runtime rt = make_runtime(2);
   EXPECT_THROW(rt.comm(0).send(0, Payload::original(0, 1)), CheckError);
-  EXPECT_THROW(rt.comm(0).recv(0), CheckError);
+  EXPECT_THROW(static_cast<void>(rt.comm(0).recv(0)), CheckError);
 }
 
 sim::Task ring_program(Comm& comm) {
@@ -369,13 +369,11 @@ sim::Task pair_echo(Comm& comm, int rounds) {
   }
 }
 
-/// Allocations of `pairs` warm rounds of the pair exchange (after 16
-/// warm-up rounds), optionally with schedule recording on.  The machine
-/// is free (no latency, overhead or serialization), so every event lands
-/// at t = 0: the event queue's radix buckets, which grow with the clock's
-/// bit patterns rather than with messages, stay out of the count.
-std::size_t warm_exchange_allocs(int pairs, bool record) {
-  constexpr int kWarm = 16;
+/// Two ranks on a free machine (no latency, overhead or serialization),
+/// so every event lands at t = 0: the event queue's radix buckets, which
+/// grow with the clock's bit patterns rather than with messages, stay out
+/// of allocation counts.
+Runtime free_runtime() {
   net::NetParams free_net;
   free_net.alpha_us = 0;
   free_net.per_hop_us = 0;
@@ -383,8 +381,16 @@ std::size_t warm_exchange_allocs(int pairs, bool record) {
   CommParams free_comm = plain_comm();
   free_comm.send_overhead_us = 0;
   free_comm.recv_overhead_us = 0;
-  Runtime rt(std::make_shared<net::LinearArray>(2), free_net, free_comm,
-             net::RankMapping::identity(2));
+  return Runtime(std::make_shared<net::LinearArray>(2), free_net, free_comm,
+                 net::RankMapping::identity(2));
+}
+
+/// Allocations of `pairs` warm rounds of the pair exchange (after 16
+/// warm-up rounds) on free_runtime(), optionally with schedule recording
+/// on.
+std::size_t warm_exchange_allocs(int pairs, bool record) {
+  constexpr int kWarm = 16;
+  Runtime rt = free_runtime();
   if (record) rt.enable_schedule_recording();
   std::size_t allocs = 0;
   rt.spawn(0, pair_sender(rt.comm(0), kWarm, pairs, allocs));
@@ -421,6 +427,56 @@ TEST(Runtime, RecordingAWarmExchangeAllocatesOnlyForPoolGrowth) {
   EXPECT_LE(n, 6u);
   EXPECT_GE(twice, n);
   EXPECT_LE(twice - n, 2u);
+}
+
+/// One rank of a two-rank run: `rounds` ping-pongs with the other rank
+/// inside an outer phase, each in a nested per-round phase (three deep on
+/// even rounds), one metrics iteration per round.  A ping-pong drains the
+/// event queue every round, so its entries do not grow with the rounds
+/// (a stream of same-time events would keep them).
+sim::Task phased_rounds(Comm& comm, int rounds) {
+  const Rank peer = 1 - comm.rank();
+  comm.begin_phase("outer");
+  for (int i = 0; i < rounds; ++i) {
+    comm.begin_phase("round");
+    if (i % 2 == 0) comm.begin_phase("inner");
+    if (comm.rank() == 0) {
+      co_await comm.send(peer, Payload::original(comm.rank(), 64));
+      static_cast<void>(co_await comm.recv(peer));
+    } else {
+      static_cast<void>(co_await comm.recv(peer));
+      co_await comm.send(peer, Payload::original(comm.rank(), 64));
+    }
+    if (i % 2 == 0) comm.end_phase();
+    comm.end_phase();
+    comm.mark_iteration();
+  }
+  comm.end_phase();
+}
+
+/// Allocations of a whole phased run of `rounds` rounds on
+/// free_runtime(): set-up, programs, run and outcome.
+std::size_t phased_run_allocs(int rounds) {
+  const std::size_t before = test::allocations_here();
+  {
+    Runtime rt = free_runtime();
+    rt.spawn(0, phased_rounds(rt.comm(0), rounds));
+    rt.spawn(1, phased_rounds(rt.comm(1), rounds));
+    const RunOutcome out = rt.run();
+    EXPECT_EQ(out.metrics.iterations, static_cast<std::size_t>(rounds));
+    EXPECT_EQ(out.metrics.congestion, 2u);
+    EXPECT_EQ(out.phases.size(), 3u);
+    EXPECT_EQ(out.phases[1].entries, static_cast<std::uint64_t>(2 * rounds));
+  }
+  return test::allocations_here() - before;
+}
+
+TEST(Runtime, RunAllocationsDoNotGrowWithIterationsOrPhases) {
+  // Figure-2 metrics keep running totals, not a row per iteration, and
+  // phases live in runtime-wide tables, not per-rank vectors: a run that
+  // marks twice the iterations and enters twice the phases allocates as
+  // often.
+  EXPECT_EQ(phased_run_allocs(64), phased_run_allocs(128));
 }
 
 TEST(Runtime, MessageFaultPlanNeedsNoQuadraticSequenceTable) {

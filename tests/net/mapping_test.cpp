@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/check.h"
 
@@ -60,6 +61,19 @@ TEST(Mapping, FromTableValidates) {
   EXPECT_THROW(RankMapping::from_table({1, 1}), CheckError);   // duplicate
   EXPECT_THROW(RankMapping::from_table({0, -2}), CheckError);  // negative
   EXPECT_THROW(RankMapping::from_table({}), CheckError);       // empty
+}
+
+TEST(Mapping, DuplicateNodeMessageNamesTheFirstRepeat) {
+  // In table order, node 2 is the first to repeat (before node 0 does).
+  try {
+    static_cast<void>(RankMapping::from_table({2, 0, 2, 0}));
+    FAIL() << "duplicate nodes accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "mapping is not injective: node 2 used twice"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Mapping, RejectsBadSizes) {

@@ -33,8 +33,9 @@ void check_pair(const TorusND& t, NodeId a, NodeId b) {
   for (int k = 0; k < t.ndims(); ++k) {
     const int d = TorusND::torus_delta(ca[k], cb[k], t.dim(k));
     EXPECT_LE(std::abs(d), t.dim(k) / 2) << t.name() << " dim " << k;
-    if (2 * std::abs(d) == t.dim(k))
+    if (2 * std::abs(d) == t.dim(k)) {
       EXPECT_GT(d, 0) << t.name() << ": ties must break positive";
+    }
   }
 }
 

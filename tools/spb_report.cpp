@@ -7,10 +7,12 @@
 // the full Chrome-trace timeline (load it at https://ui.perfetto.dev) and
 // prints an ASCII link heatmap.
 //
-//   spb_report --machine paragon8x8 --dist R --sources 8 --len 1024 \
+//   spb_report --machine paragon8x8 --dist R --sources 8 --len 1024
 //              --algo two_step --chrome-trace t.json
-//   spb_report --machine t3d256 --dist Rand --sources 16 --len 4096 \
+//   spb_report --machine t3d256 --dist Rand --sources 16 --len 4096
 //              --algo Br_xy_source --faults 42:drop=0.05 --heatmap --out r.json
+//
+// (one command each, wrapped here).
 #include <algorithm>
 #include <fstream>
 #include <iostream>
