@@ -1,8 +1,10 @@
 #include "dist/ideal.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <map>
 #include <mutex>
+#include <tuple>
 #include <utility>
 
 #include "coll/halving.h"
@@ -106,25 +108,8 @@ std::vector<int> profile_of(int n, const std::vector<int>& positions) {
   return coll::HalvingSchedule::activity_profile(flags);
 }
 
-}  // namespace
-
-std::vector<int> ideal_positions(int n, int k) {
-  SPB_REQUIRE(n >= 1, "segment must have at least one position");
-  SPB_REQUIRE(k >= 0 && k <= n, "source count " << k << " outside 0.." << n);
-  if (k == 0) return {};
-  // Process-wide memo shared by every concurrent sweep job; the parallel
-  // runner calls generate() from worker threads, so the whole
-  // lookup-or-compute is serialized.  Holding the mutex across the search
-  // is deliberate: it also deduplicates the (expensive) computation when
-  // several workers ask for the same (n, k) at once, and any combination
-  // is computed at most once per process anyway.
-  static std::mutex cache_mutex;
-  static std::map<std::pair<int, int>, std::vector<int>> cache;
-  const std::scoped_lock lock(cache_mutex);
-  const auto key = std::make_pair(n, k);
-  const auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-
+/// The placement search behind ideal_positions, unmemoized.
+std::vector<int> search_ideal(int n, int k) {
   // Three seeds, each hill-climbed; the winner therefore dominates every
   // seed's raw profile.  The identity prefix is the provably clean one for
   // k <= each level's half (it recursively stays inside first halves); the
@@ -151,7 +136,57 @@ std::vector<int> ideal_positions(int n, int k) {
       best_profile = std::move(profile);
     }
   }
-  cache.emplace(key, best);
+  return best;
+}
+
+}  // namespace
+
+std::vector<int> ideal_positions(int n, int k) {
+  SPB_REQUIRE(n >= 1, "segment must have at least one position");
+  SPB_REQUIRE(k >= 0 && k <= n, "source count " << k << " outside 0.." << n);
+  if (k == 0) return {};
+  // Process-wide memo shared by every concurrent sweep job and serve
+  // worker.  The mutex guards only the map: the first caller of a cold key
+  // searches outside it while later callers of that key wait for its
+  // entry, so each (n, k) is searched once per process and no other key,
+  // cached or cold, waits for the search.  A failed search drops its
+  // entry, and the next caller of the key searches again.
+  struct Entry {
+    bool ready = false;
+    std::vector<int> positions;
+  };
+  static std::mutex memo_mutex;
+  static std::condition_variable memo_settled;  // an entry filled or dropped
+  static std::map<std::pair<int, int>, Entry> memo;
+  const std::pair<int, int> key(n, k);
+  std::map<std::pair<int, int>, Entry>::iterator it;
+  {
+    std::unique_lock<std::mutex> lock(memo_mutex);
+    for (;;) {
+      bool inserted = false;
+      std::tie(it, inserted) = memo.try_emplace(key);
+      if (inserted) break;
+      if (it->second.ready) return it->second.positions;
+      memo_settled.wait(lock);
+    }
+  }
+  std::vector<int> best;
+  try {
+    best = search_ideal(n, k);
+  } catch (...) {
+    {
+      const std::scoped_lock lock(memo_mutex);
+      memo.erase(it);
+    }
+    memo_settled.notify_all();
+    throw;
+  }
+  {
+    const std::scoped_lock lock(memo_mutex);
+    it->second.positions = best;
+    it->second.ready = true;
+  }
+  memo_settled.notify_all();
   return best;
 }
 

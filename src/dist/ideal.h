@@ -23,8 +23,9 @@ namespace spb::dist {
 /// Greedy ideal placement of k sources on an n-position halving segment:
 /// sorted positions such that the active set grows as fast as the merge
 /// pattern allows (for k <= floor(n/2) it provably doubles every iteration
-/// — the property tests assert this).  Memoized; thread-hostile like the
-/// rest of the library (single simulation thread).
+/// — the property tests assert this).  Memoized per process and safe to
+/// call from any thread: a key's first caller searches it, concurrent
+/// callers of the same key wait for that search, and other keys never do.
 std::vector<int> ideal_positions(int n, int k);
 
 /// Ideal placement of s sources for Br_Lin on the p-rank linear order.

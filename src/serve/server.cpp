@@ -43,6 +43,9 @@ constexpr std::size_t kInitialSlots = 64;
 constexpr std::size_t kResponseBytes = 192;
 /// Response bytes a writer copies out of the ring per write, at most.
 constexpr std::size_t kMaxRunBytes = 64 * 1024;
+/// Longest line a job slot takes unparsed, so no slot's line buffer grows
+/// past about twice this; longer lines are parsed on submission.
+constexpr std::size_t kMaxUnparsedLine = 512;
 
 void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -76,6 +79,16 @@ double elapsed_us(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Whether a line may be admitted unparsed: it is short enough for a job
+/// slot, and it cannot be a stats fence.  A request whose op is "stats"
+/// spells the word out or escapes it, so a line with neither the bytes
+/// "stats" nor a backslash is never one — the screen is exact.
+bool may_admit_unparsed(std::string_view line) {
+  return line.size() <= kMaxUnparsedLine &&
+         line.find('\\') == std::string_view::npos &&
+         line.find("stats") == std::string_view::npos;
 }
 
 /// CheckError carries "<kind> failed: (<expr>) at <file>:<line> — <msg>".
@@ -245,15 +258,26 @@ void Server::submit_line_wait(std::string_view line) {
   submit_internal(line, /*block=*/true);
 }
 
+bool Server::parse_into(std::string_view line, std::uint64_t seq,
+                        Request& req, Response& r) {
+  const std::string parse_error = parse_request(line, req);
+  if (parse_error.empty()) return true;
+  // The request's own id when the JSON is well formed, else its sequence
+  // number.
+  write_error_response(r.text, req.has_id ? req.id : seq, parse_error);
+  r.outcome = Outcome::kError;
+  return false;
+}
+
 void Server::submit_internal(std::string_view line, bool block) {
   const std::uint64_t seq = submitted_.fetch_add(1);
+  // With several workers, the one that takes the job parses the line; a
+  // lone worker would then do everything while the submitter idles, so
+  // with one worker the submitter keeps parsing.
+  const bool unparsed = options_.workers > 1 && may_admit_unparsed(line);
   Request req;
-  const std::string parse_error = parse_request(line, req);
-  const std::uint64_t rid = req.has_id ? req.id : seq;
-
-  if (!parse_error.empty()) {
-    Response r{.seq = seq, .outcome = Outcome::kError, .text = {}};
-    write_error_response(r.text, rid, parse_error);
+  Response r{.seq = seq, .outcome = Outcome::kError, .text = {}};
+  if (!unparsed && !parse_into(line, seq, req, r)) {
     emit({&r, 1});
     return;
   }
@@ -264,10 +288,14 @@ void Server::submit_internal(std::string_view line, bool block) {
     std::unique_lock<std::mutex> lock = lock_hot(queue_mu_);
     if (depth() >= options_.max_queue) {
       if (!block) {
-        // Load-shed: answer now, explicitly — never a silent drop.
+        // Load-shed: answer now, explicitly — never a silent drop.  A line
+        // not parsed yet is parsed first, so a malformed one gets its
+        // parse error, not "overloaded".
         lock.unlock();
-        Response r{.seq = seq, .outcome = Outcome::kShed, .text = {}};
-        write_overloaded_response(r.text, rid);
+        if (!unparsed || parse_into(line, seq, req, r)) {
+          write_overloaded_response(r.text, req.has_id ? req.id : seq);
+          r.outcome = Outcome::kShed;
+        }
         emit({&r, 1});
         return;
       }
@@ -280,7 +308,12 @@ void Server::submit_internal(std::string_view line, bool block) {
     if (depth() == jobs_.size()) double_ring(jobs_, head_);
     Job& job = job_at(tail_);
     job.seq = seq;
-    job.req = std::move(req);
+    job.parsed = !unparsed;
+    job.fence = !unparsed && req.op == Op::kStats;
+    if (unparsed)
+      job.line.assign(line);
+    else
+      job.req = std::move(req);
     job.t0 = t0;
     ++tail_;
     if (depth() > queue_max_depth_) queue_max_depth_ = depth();
@@ -360,7 +393,7 @@ void Server::worker_loop(Worker& w) {
     {
       std::unique_lock<std::mutex> lock = lock_hot(queue_mu_);
       if (!await_job(lock)) return;
-      if (job_at(head_).req.op == Op::kStats) {
+      if (job_at(head_).fence) {
         // Leave the fence in its slot, claimed, so no later job starts
         // while the stats snapshot is taken.
         fence = true;
@@ -369,8 +402,7 @@ void Server::worker_loop(Worker& w) {
       } else {
         const std::size_t n = std::min(kMaxBatch, 1 + depth() / spread);
         // Never past a fence: it must wait for the jobs before it.
-        while (taken < n && head_ != tail_ &&
-               job_at(head_).req.op != Op::kStats)
+        while (taken < n && head_ != tail_ && !job_at(head_).fence)
           w.batch[taken++] = std::move(job_at(head_++));
         space = space_waiters_ > 0;
       }
@@ -403,11 +435,12 @@ void Server::worker_loop(Worker& w) {
 
 void Server::process(Job& job, Worker& w, Response& r) {
   if (options_.job_hook) options_.job_hook();
-  const Request& req = job.req;
-  const std::uint64_t rid = req.has_id ? req.id : job.seq;
   r.seq = job.seq;
   r.text.clear();
   r.text.reserve(kResponseBytes);
+  if (!job.parsed && !parse_into(job.line, job.seq, job.req, r)) return;
+  const Request& req = job.req;
+  const std::uint64_t rid = req.has_id ? req.id : job.seq;
   try {
     switch (req.op) {
       case Op::kPlan:

@@ -24,10 +24,19 @@
 // queue briefly before it parks, so a steady stream needs no futex sleep
 // or wake-up and an idle server uses no CPU.
 //
+// With more than one worker, parsing happens on the workers: the
+// submitter only screens a line for the bytes a stats fence needs
+// ("stats" or an escape), copies a line that has neither into its job
+// slot unparsed, and the worker that takes the job parses it (the latency
+// histogram then includes the parse).  Every other line, and every line
+// of a one-worker server, is parsed on submission.
+//
 // Admission control is explicit: when the queue is at max_queue, the line
 // is answered immediately with {"ok":false,"error":"overloaded"} — the
-// protocol never drops a request silently.  Malformed lines are answered
-// in place with a structured error and the session continues.
+// protocol never drops a request silently.  A malformed line is answered
+// with a structured error and the session continues: by the submitter
+// when it parsed the line (and always when the queue is full), else by
+// the worker that parses it, in the same place in the stream.
 //
 // A stats request is a *fence*: the worker that takes it leaves it claimed
 // at the front of the queue and waits until every earlier request has been
@@ -109,15 +118,18 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Parses and admits one request line (without trailing newline).
-  /// Never throws on bad input: malformed lines and overload are answered
-  /// through the response stream.
+  /// Admits one request line (without trailing newline).  Never throws on
+  /// bad input: malformed lines and overload are answered through the
+  /// response stream; a malformed line gets its parse error even when the
+  /// queue is full.
   void submit_line(std::string_view line);
 
   /// Like submit_line, but blocks for queue space instead of load-shedding
   /// — cooperative in-process drivers (spb_serve --demo, bench/ext_serve)
   /// use this so their traffic is never answered "overloaded" and the
-  /// response stream stays a pure function of the request stream.
+  /// response stream stays a pure function of the request stream.  With
+  /// more than one worker, a malformed line admitted unparsed also takes
+  /// a queue slot (and may wait for one) until a worker answers it.
   void submit_line_wait(std::string_view line);
 
   /// Blocks until every submitted line has been answered and flushed.
@@ -143,7 +155,16 @@ class Server {
  private:
   struct Job {
     std::uint64_t seq = 0;
+    /// Whether `req` holds this job's request; else the worker parses
+    /// `line` into it.  A reused slot's `req` and `line` still hold an
+    /// earlier job's until then.
+    bool parsed = false;
+    /// A stats request, set at admission: an unparsed line is never one.
+    bool fence = false;
     Request req;
+    /// The request line of an unparsed job.  Its buffer stays with the
+    /// slot and circulates between ring and batch slots as jobs move.
+    std::string line;
     std::chrono::steady_clock::time_point t0;
   };
   enum class Outcome { kPlan, kExecute, kStats, kError, kShed };
@@ -164,6 +185,8 @@ class Server {
   struct Worker;
 
   void submit_internal(std::string_view line, bool block);
+  static bool parse_into(std::string_view line, std::uint64_t seq,
+                         Request& req, Response& r);
   void worker_loop(Worker& w);
   // The job ring; queue_mu_ held for all but spin_for_job().
   Job& job_at(std::uint64_t i) { return jobs_[i & (jobs_.size() - 1)]; }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -145,6 +146,36 @@ TEST(ConcurrentIdealCache, ManyThreadsSameAnswers) {
   }
   for (std::thread& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
+}
+
+TEST(IdealPositions, ColdKeyDoesNotDelayWarmKeys) {
+  // One thread searches a cold key that takes a few hundred milliseconds;
+  // meanwhile this thread asks for a warm key and for a small cold one.
+  // Neither may wait for the long search: both must return well before
+  // it ends.
+  using Clock = std::chrono::steady_clock;
+  const std::vector<int> warm = dist::ideal_positions(16, 4);
+  std::atomic<bool> started{false};
+  Clock::time_point long_end;
+  std::vector<int> long_key;
+  std::thread searcher([&] {
+    started.store(true);
+    long_key = dist::ideal_positions(384, 96);
+    long_end = Clock::now();
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // in its search
+  const Clock::time_point t0 = Clock::now();
+  const std::vector<int> warm_again = dist::ideal_positions(16, 4);
+  const std::vector<int> small_cold = dist::ideal_positions(48, 12);
+  const Clock::time_point t1 = Clock::now();
+  searcher.join();
+
+  EXPECT_EQ(warm_again, warm);
+  EXPECT_EQ(small_cold.size(), 12u);
+  EXPECT_EQ(long_key.size(), 96u);
+  EXPECT_LT(t1, long_end) << "a warm or small key waited for the long search";
+  EXPECT_LT(t1 - t0, (long_end - t0) / 4);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // serve::Server behavior: coalescing under simultaneous identical
 // requests (exactly one planner invocation), bounded-queue load shedding
 // with well-formed responses, in-order output, byte-identity across
-// worker counts, the stats fence, error recovery, the output path under
+// worker counts, the stats fence (also when spelled with escapes, which
+// the unparsed-admission screen must catch), error recovery (also for
+// malformed lines shed by a full queue), the output path under
 // many threads taking turns as the writer, and the hot path's costs: warm
 // cache hits that allocate nothing, idle workers that sleep, and a
 // template memo that answers as the direct computation does.
@@ -16,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <functional>
 #include <future>
 #include <limits>
 #include <map>
@@ -390,19 +393,23 @@ std::string fence_snapshot(const std::vector<std::string>& before) {
   return os.str();
 }
 
-TEST(Server, ConcurrentWritersKeepOrderAndExactFences) {
-  // Four workers finish plan requests out of order while the submitting
-  // thread answers malformed and shed lines itself, so workers and the
-  // submitter all take turns as the one writer.  Stats fences sit between
-  // the bursts.  Sessions alternate a 2-job queue (the shedding path
-  // sheds) and a 64-job one (workers take runs of jobs up to a fence).
-  // Every session must finish within a minute and come out in submission
-  // order, and each fence must count exactly the responses before it.
-  constexpr int kSessions = 200;
+/// Sessions of plan bursts on four workers, with a stats fence after each
+/// burst; `fence` renders the fence with the given id.  Most lines pass
+/// the unparsed-admission screen, so workers parse them and answer the
+/// malformed ones, while the submitter answers the shed lines (parsing
+/// first, so a malformed one gets its error) and the fences it parsed.
+/// Workers and the submitter therefore all take turns as the one writer.
+/// Sessions alternate a 2-job queue (the shedding path sheds) and a
+/// 64-job one (workers take runs of jobs up to a fence).  Every session
+/// must finish within a minute and come out in submission order, and each
+/// fence must count exactly the responses before it.  Adds the number of
+/// lines shed to `shed`.
+void fenced_bursts(int sessions,
+                   const std::function<std::string(std::uint64_t)>& fence,
+                   std::uint64_t& shed) {
   constexpr int kBlocks = 3;
   constexpr int kBurst = 16;
-  std::uint64_t shed = 0;
-  for (int session = 0; session < kSessions; ++session) {
+  for (int session = 0; session < sessions; ++session) {
     ServerOptions options;
     options.machine = "paragon4x4";
     options.workers = 4;
@@ -436,9 +443,7 @@ TEST(Server, ConcurrentWritersKeepOrderAndExactFences) {
           }
         }
         fences.push_back(submitted);
-        server.submit_line_wait(R"({"op":"stats","id":)" +
-                                std::to_string(submitted++) +
-                                R"(,"deterministic":true})");
+        server.submit_line_wait(fence(submitted++));
       }
       server.drain();
       return server.counters().shed;
@@ -465,8 +470,91 @@ TEST(Server, ConcurrentWritersKeepOrderAndExactFences) {
           << lines[at] << "\nwant\n" << want;
     }
   }
+}
+
+TEST(Server, ConcurrentWritersKeepOrderAndExactFences) {
+  std::uint64_t shed = 0;
+  fenced_bursts(
+      200,
+      [](std::uint64_t id) {
+        return R"({"op":"stats","id":)" + std::to_string(id) +
+               R"(,"deterministic":true})";
+      },
+      shed);
   // The shedding path did shed, so the submitter wrote shed responses.
   EXPECT_GT(shed, 0u);
+}
+
+TEST(Server, EscapedStatsIsStillAFence) {
+  // The screen admits a line unparsed only when it holds neither "stats"
+  // nor a backslash, so a fence whose key and op are spelled with escapes
+  // is parsed on submission and fences exactly as a plain one does.
+  std::uint64_t shed = 0;
+  fenced_bursts(
+      200,
+      [](std::uint64_t id) {
+        return R"({"\u006fp":"st\u0061ts","id":)" + std::to_string(id) +
+               R"(,"deterministic":true})";
+      },
+      shed);
+}
+
+TEST(Server, FullQueueAnswersMalformedLinesWithTheirParseError) {
+  // Two workers held inside their first jobs and two jobs queued behind
+  // them fill a 2-job queue.  A line that passed the screen unparsed is
+  // parsed when it is shed: a malformed one gets its parse error, with
+  // its own id when the JSON is well formed, never "overloaded"; a valid
+  // one gets "overloaded" with its own id.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> started{0};
+
+  ServerOptions options;
+  options.machine = "paragon4x4";
+  options.workers = 2;
+  options.max_queue = 2;
+  options.job_hook = [&] {
+    started.fetch_add(1);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  };
+
+  const std::string plan = R"({"op":"plan","dist":"R","sources":4,"len":2048})";
+  const std::vector<std::string> shed_lines = {
+      "not json", R"({"op":"warp","id":77})",
+      R"({"op":"plan","id":88,"dist":"R","sources":4,"len":2048})"};
+  std::ostringstream out;
+  {
+    Server server(options, out);
+    server.submit_line(plan);
+    server.submit_line(plan);
+    while (started.load() < 2) std::this_thread::yield();  // both held
+    server.submit_line(plan);
+    server.submit_line(plan);  // the queue is full
+    for (const std::string& line : shed_lines) server.submit_line(line);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+    server.drain();
+    EXPECT_EQ(server.counters().plan, 4u);
+    EXPECT_EQ(server.counters().errors, 2u);
+    EXPECT_EQ(server.counters().shed, 1u);
+    EXPECT_EQ(server.queue_max_depth(), 2u);
+  }
+
+  const std::vector<std::string> lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 7u);
+  Request req;
+  std::string want;
+  write_error_response(want, 4, parse_request(shed_lines[0], req));
+  EXPECT_EQ(lines[4] + "\n", want);
+  want.clear();
+  write_error_response(want, 77, parse_request(shed_lines[1], req));
+  EXPECT_EQ(lines[5] + "\n", want);
+  EXPECT_EQ(lines[6], R"({"id":88,"ok":false,"error":"overloaded"})");
 }
 
 /// A response stream that drops everything written to it.
